@@ -37,8 +37,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.sim.engine import (elision_default, engine_backend_default,
-                              snapshot_default)
+from repro.sim.engine import elision_default, snapshot_default
 from repro.sim.snapshot import WorldSnapshot
 
 __all__ = ["PrefixSpec", "SnapshotStore", "execute_unit", "process_store",
@@ -85,17 +84,16 @@ def prefix_store_key(prefix: PrefixSpec, fast: bool,
     """Content address of one prefix's frozen world.
 
     Besides the chain and the fast/full mode, the key names the engine's
-    process-wide mode knobs (event backend, tickless elision): a frozen
-    world bakes both in at construction, so an in-process toggle — the
-    A/B tests flip these env vars mid-run — must miss rather than fork a
-    world built under the other mode.
+    process-wide tickless-elision knob: a frozen world bakes it in at
+    construction, so an in-process toggle — the A/B tests flip the env var
+    mid-run — must miss rather than fork a world built under the other
+    mode.
     """
     from repro.experiments.cache import code_fingerprint
     h = hashlib.sha256()
     parts = [fingerprint if fingerprint is not None else code_fingerprint()]
     parts += prefix_chain_parts(prefix)
     parts.append("fast" if fast else "full")
-    parts.append(f"backend={engine_backend_default()}")
     parts.append(f"tickless={int(elision_default())}")
     for part in parts:
         h.update(part.encode())

@@ -172,8 +172,8 @@ class UnitOutcome:
     wall_s: float = 0.0
     events: int = 0
     elided: int = 0
-    #: Engine counter deltas over the unit (pushes/cancels/dead_drops/
-    #: cascades — see Engine.counters); None for units that never ran.
+    #: Engine counter deltas over the unit (pushes/cancels/dead_drops —
+    #: see Engine.counters); None for units that never ran.
     counters: Optional[Dict[str, int]] = None
     attempts: int = 1
     fate: str = "ok"

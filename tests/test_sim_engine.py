@@ -1,42 +1,21 @@
-"""Unit tests for the event engine.
-
-Engine-behaviour tests run against both event-store backends (binary heap
-and hierarchical timer wheel): the backend protocol promises identical
-observable semantics, so every test here is a conformance check.
-Backend-specific internals (heap compaction) are pinned separately below.
-"""
+"""Unit tests for the event engine."""
 
 import pytest
 
 from repro.sim import Engine, MSEC, SEC, USEC
 
 
-@pytest.fixture(params=["heap", "wheel"])
-def make_engine(request):
-    """Engine factory parametrized over event-store backends."""
-    def make():
-        return Engine(backend=request.param)
-    return make
+@pytest.fixture(params=["heap"])
+def make_engine():
+    """Engine factory for the behaviour tests.  The one ``heap`` param
+    names the event store, keeping the ``[heap]`` test ids stable."""
+    return Engine
 
 
 def test_time_constants():
     assert USEC == 1_000
     assert MSEC == 1_000_000
     assert SEC == 1_000_000_000
-
-
-def test_backend_selection(monkeypatch):
-    assert Engine(backend="heap").backend == "heap"
-    assert Engine(backend="wheel").backend == "wheel"
-    monkeypatch.delenv("VSCHED_REPRO_ENGINE", raising=False)
-    assert Engine().backend == "heap"  # the reference backend is default
-    monkeypatch.setenv("VSCHED_REPRO_ENGINE", "wheel")
-    assert Engine().backend == "wheel"
-    monkeypatch.setenv("VSCHED_REPRO_ENGINE", "splay")
-    with pytest.raises(ValueError):
-        Engine()
-    with pytest.raises(ValueError):
-        Engine(backend="btree")
 
 
 def test_events_fire_in_time_order(make_engine):
@@ -227,9 +206,9 @@ def test_mass_cancellation_preserves_order_and_pending(make_engine):
 
 
 def test_heap_compaction_bounds_dead_entries():
-    """Heap-specific: crossing the compaction threshold actually sweeps
-    the dead entries out of the underlying heap list."""
-    eng = Engine(backend="heap")
+    """Crossing the compaction threshold actually sweeps the dead entries
+    out of the heap list."""
+    eng = Engine()
     fired = []
     keep, drop = [], []
     for i in range(300):
@@ -239,7 +218,7 @@ def test_heap_compaction_bounds_dead_entries():
         ev.cancel()  # 240 cancels: crosses the compaction threshold
     # Compaction ran (possibly more than once); at most a sub-threshold
     # residue of dead entries may remain in the heap.
-    heap = eng._backend._heap
+    heap = eng._heap
     assert len(heap) < 300
     assert len(heap) - len(keep) < 64
     eng.run_until(SEC)
@@ -284,22 +263,100 @@ def test_events_fired_counters(make_engine):
     assert Engine.total_events_fired - base == 7
 
 
-def test_push_cancel_counters_backend_invariant():
-    """pushes/cancels/fired are API-level counts: identical per backend."""
-    deltas = {}
-    for backend in ("heap", "wheel"):
-        before = Engine.counters()
-        eng = Engine(backend=backend)
-        evs = [eng.call_in(10 * (i + 1), lambda: None) for i in range(20)]
-        for ev in evs[::2]:
-            ev.cancel()
-        eng.run_until(SEC)
-        after = Engine.counters()
-        deltas[backend] = {k: after[k] - before[k] for k in after}
-    for backend, d in deltas.items():
-        assert d["pushes"] == 20, backend
-        assert d["cancels"] == 10, backend
-        assert d["fired"] == 10, backend
-        # Fully drained: every cancelled entry was physically discarded.
-        assert d["dead_drops"] == 10, backend
-    assert deltas["heap"]["cascades"] == 0
+def test_push_cancel_fired_dead_drop_counters():
+    """pushes/cancels/fired count API-level events; dead_drops counts the
+    corpses discarded from the heap."""
+    before = Engine.counters()
+    eng = Engine()
+    evs = [eng.call_in(10 * (i + 1), lambda: None) for i in range(20)]
+    for ev in evs[::2]:
+        ev.cancel()
+    eng.run_until(SEC)
+    after = Engine.counters()
+    d = {k: after[k] - before[k] for k in after}
+    assert d["pushes"] == 20
+    assert d["cancels"] == 10
+    assert d["fired"] == 10
+    # Fully drained: every cancelled entry was physically discarded.
+    assert d["dead_drops"] == 10
+
+
+def test_pending_exact_after_callback_raises():
+    """An event whose callback raised has left the heap: pending() must
+    not keep counting it, and the survivor still fires."""
+    eng = Engine()
+    fired = []
+
+    def boom():
+        raise RuntimeError("boom")
+
+    eng.call_at(5, boom)
+    eng.call_at(9, lambda: fired.append(9))
+    with pytest.raises(RuntimeError):
+        eng.run_until(100)
+    assert eng.pending() == 1
+    eng.run_until(100)
+    assert fired == [9]
+    assert eng.pending() == 0
+
+
+# ----------------------------------------------------------------------
+# Same-instant ordering edges: cancel/re-arm, lanes, zero delays
+# ----------------------------------------------------------------------
+def test_cancel_then_rearm_same_instant():
+    """A callback cancels a later same-instant event and re-arms a
+    replacement at the same instant: the replacement's fresh seq orders
+    it after every older same-instant arm."""
+    eng = Engine()
+    log = []
+    state = {}
+
+    def killer():
+        log.append("killer")
+        state["victim"].cancel()
+        eng.call_at(eng.now, lambda: log.append("rearmed"))
+
+    eng.call_at(5 * USEC, killer)
+    state["victim"] = eng.call_at(5 * USEC, lambda: log.append("victim"))
+    eng.call_at(5 * USEC, lambda: log.append("bystander"))
+    eng.run_until(MSEC)
+    assert log == ["killer", "bystander", "rearmed"]
+    assert eng.pending() == 0
+
+
+def test_lane_rearm_same_instant_orders_by_lane():
+    """With a lane priority, a mid-instant arm lands at its lane position
+    among the not-yet-popped same-instant events."""
+    eng = Engine()
+    log = []
+    lane = eng.alloc_lane()  # negative: fires before prio-0 events
+
+    def opener():
+        log.append("opener")
+        eng.call_at(eng.now, lambda: log.append("lane"), prio=lane)
+
+    eng.call_at(7 * USEC, opener)
+    eng.call_at(7 * USEC, lambda: log.append("plain-1"))
+    eng.call_at(7 * USEC, lambda: log.append("plain-2"))
+    eng.run_until(MSEC)
+    assert log == ["opener", "lane", "plain-1", "plain-2"]
+
+
+def test_zero_delay_call_in_during_dispatch():
+    """call_in(0, ...) from inside a callback fires later in the same run
+    at the same instant, after already-armed same-instant events."""
+    eng = Engine()
+    log = []
+
+    def opener():
+        log.append("opener")
+        eng.call_in(0, lambda: log.append("zero-1"))
+        eng.call_in(0, lambda: (log.append("zero-2"),
+                                eng.call_in(0, lambda: log.append("nested"))))
+
+    eng.call_at(3 * USEC, opener)
+    eng.call_at(3 * USEC, lambda: log.append("sibling"))
+    eng.call_at(3 * USEC + 1, lambda: log.append("next-ns"))
+    eng.run_until(MSEC)
+    assert log == ["opener", "sibling", "zero-1", "zero-2", "nested",
+                   "next-ns"]

@@ -4,16 +4,16 @@ The warm-start contract (docs/INTERNALS.md §15) has three layers, each
 tested here against its cold-path twin:
 
 * engine layer — ``Engine.snapshot()/restore()`` replay the identical
-  event sequence, across both backends and with tickless elision on or
-  off (including the restore-then-``_catch_up`` case: elided guest ticks
-  materialize before the freeze, and elision resumes after the fork);
+  event sequence with tickless elision on or off (including the
+  restore-then-``_catch_up`` case: elided guest ticks materialize before
+  the freeze, and elision resumes after the fork);
 * world layer — :class:`WorldSnapshot` freezes engine + roots in one
   deep copy, the guard rejects copy-unsafe callbacks loudly, and every
   fork is independent of its siblings and of the frozen image;
-* store layer — :class:`SnapshotStore` keys on
-  (code fingerprint, prefix chain, fast, backend, tickless), hits after
-  one miss, and ``execute_unit`` produces identical results with
-  snapshotting on and off.
+* store layer — :class:`SnapshotStore` keys on (code fingerprint,
+  prefix chain, fast, tickless), hits after one miss, and
+  ``execute_unit`` produces identical results with snapshotting on and
+  off.
 """
 
 from __future__ import annotations
@@ -63,12 +63,13 @@ def _sig(roots):
             env.kernel.stats.migrations, rng_signature(ctx.rng))
 
 
-@pytest.mark.parametrize("backend", ["heap", "wheel"])
+# The engine has one event store, the heap; the ``store`` param names it
+# so the test ids keep their ``heap`` suffix.
+@pytest.mark.parametrize("store", ["heap"])
 @pytest.mark.parametrize("tickless", ["1", "0"])
 class TestForkMatchesColdRun:
-    def test_fork_resumes_byte_identically(self, backend, tickless,
+    def test_fork_resumes_byte_identically(self, store, tickless,
                                            monkeypatch):
-        monkeypatch.setenv("VSCHED_REPRO_ENGINE", backend)
         monkeypatch.setenv("VSCHED_REPRO_TICKLESS", tickless)
 
         cold = _world()
@@ -90,9 +91,9 @@ class TestForkMatchesColdRun:
         assert _sig(warm) == at_freeze
 
 
-@pytest.mark.parametrize("backend", ["heap", "wheel"])
+@pytest.mark.parametrize("store", ["heap"])
 class TestForkResumesElision:
-    def test_elided_ticks_survive_freeze_and_fork(self, backend,
+    def test_elided_ticks_survive_freeze_and_fork(self, store,
                                                   monkeypatch):
         # The restore-then-_catch_up case: freezing materializes every
         # elided tick (WorldSnapshot calls engine.materialize()), and the
@@ -100,7 +101,6 @@ class TestForkResumesElision:
         # elides nearly every tick (vsched's 1 ms prober cadence would
         # keep the tick horizon short), so the counters prove the span
         # machinery really ran on both sides of the freeze.
-        monkeypatch.setenv("VSCHED_REPRO_ENGINE", backend)
         monkeypatch.setenv("VSCHED_REPRO_TICKLESS", "1")
 
         cold = _world(mode="cfs", event_work_ns=20 * MSEC)
@@ -243,15 +243,11 @@ class TestStoreKey:
         assert prefix_store_key(chained, True, FP) != base
 
     def test_engine_mode_knobs_isolate(self, monkeypatch):
-        # A frozen world bakes the backend and elision mode in at
-        # construction; an in-process env toggle must miss, not fork a
-        # world built under the other mode.
-        monkeypatch.delenv("VSCHED_REPRO_ENGINE", raising=False)
+        # A frozen world bakes the elision mode in at construction; an
+        # in-process env toggle must miss, not fork a world built under
+        # the other mode.
         monkeypatch.delenv("VSCHED_REPRO_TICKLESS", raising=False)
         base = prefix_store_key(_SPEC, True, FP)
-        monkeypatch.setenv("VSCHED_REPRO_ENGINE", "wheel")
-        assert prefix_store_key(_SPEC, True, FP) != base
-        monkeypatch.delenv("VSCHED_REPRO_ENGINE")
         monkeypatch.setenv("VSCHED_REPRO_TICKLESS", "0")
         assert prefix_store_key(_SPEC, True, FP) != base
 

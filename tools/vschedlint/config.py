@@ -48,9 +48,8 @@ NEUTRAL_MODULES = frozenset({
 GUEST_IMPORT_ALLOWLIST: dict = {}
 
 #: The package whose modules may touch ``heapq`` / ``._heap`` directly.
-#: Everything else goes through the Engine API (call_at/call_in/cancel) or
-#: the backend protocol (push/pop_due/note_cancelled), so the event store
-#: stays swappable (heap vs timer wheel) without grep-and-pray refactors.
+#: Everything else goes through the Engine API (call_at/call_in/cancel),
+#: so the event store's layout stays private to the engine.
 HEAP_OWNER_PACKAGE = "repro.sim"
 
 # ---------------------------------------------------------------------------
@@ -191,7 +190,7 @@ ELISION_EXEMPT_EVERYWHERE = frozenset({"__init__"})
 # tooling: it may read real clocks (bench measures wall time) but must
 # still be deterministic where it feeds A/B comparisons, and must not
 # reach into engine internals.  ``tests/`` may read clocks and poke
-# internals (white-box tests of the backends are the point), but unseeded
+# internals (white-box tests of the engine are the point), but unseeded
 # randomness would make failures unreproducible.
 #
 # Families: "layering", "determinism", "elision", "snapshot", "cachekeys",
@@ -222,7 +221,7 @@ TREE_POLICIES = {
         "allow_identity": True,
         "allow_seeded_rng": True,
         "dict_view_sinks": False,
-        "heap_encapsulation": False,  # white-box backend tests are fine
+        "heap_encapsulation": False,  # white-box engine tests are fine
     },
 }
 
@@ -295,17 +294,15 @@ FINGERPRINTED_THIRD_PARTY = frozenset({"numpy", "np"})
 #: different results*.
 HIDDEN_INPUT_BLESSED = {
     "repro.sim.engine": {
-        # The three process-mode knobs.  They change how results are
+        # The two process-mode knobs.  They change how results are
         # *computed*, never what they are: the A/B identity CI jobs prove
-        # byte-identical tables across backend x tickless x snapshot, and
-        # the snapshot store folds all three into its prefix keys anyway
+        # byte-identical tables across tickless x snapshot, and the
+        # snapshot store folds elision into its prefix keys anyway
         # (prefix_store_key).
         "elision_default": "mode knob; byte-identity across settings is "
                            "CI-enforced and snapstore keys fold it in",
         "snapshot_default": "mode knob; fork-vs-cold byte-identity is "
                             "CI-enforced (abdiff --snapshot-modes)",
-        "engine_backend_default": "mode knob; backend byte-identity is "
-                                  "CI-enforced (abdiff --backends)",
     },
     "repro.experiments.cache": {
         # The fingerprint is the cache key's code input itself; reading
@@ -372,7 +369,6 @@ PROCESS_STATE_BLESSED = {
         "Engine.total_pushes": "process-wide telemetry (deltas)",
         "Engine.total_cancels": "process-wide telemetry (deltas)",
         "Engine.total_dead_drops": "process-wide telemetry (deltas)",
-        "Engine.total_cascades": "process-wide telemetry (deltas)",
         "Engine.profile_data": "opt-in profiling table, rendered for "
                                "humans by profile_table(); no result "
                                "reads it",

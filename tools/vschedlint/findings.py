@@ -20,7 +20,7 @@ RULES: Dict[str, tuple] = {
                       "module outside the declared layer graph"),
     "heap-encapsulation": ("VSL105", "layering",
                            "direct heapq/_heap access outside the engine "
-                           "backends (repro.sim)"),
+                           "(repro.sim)"),
     # determinism
     "wall-clock": ("VSL201", "determinism",
                    "wall-clock read in deterministic code"),

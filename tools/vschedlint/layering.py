@@ -9,10 +9,9 @@ Three checks:
   ``repro.hypervisor`` at all (the paper's "no hypervisor changes"
   boundary), except names in the explicit allowlist.
 * ``heap-encapsulation`` — ``heapq`` imports and ``._heap`` attribute
-  access are reserved to ``repro.sim`` (the engine backends).  Everything
-  else schedules through the Engine API, so the event store stays
-  swappable (binary heap vs timer wheel) without callers growing
-  structural assumptions about it.
+  access are reserved to ``repro.sim`` (the engine).  Everything else
+  schedules through the Engine API, so callers never grow structural
+  assumptions about the event store.
 * ``guest-abi`` — in guest-side code, attribute access on hypervisor
   handles (``*.vcpu``, ``*.vm``, ``*.machine``) must stay inside the
   guest-visible ABI: steal time, halt/kick, activity transitions, and the
@@ -106,7 +105,7 @@ def check_imports(module, findings: List[Finding]) -> None:
 
 
 def check_heap_encapsulation(module, findings: List[Finding]) -> None:
-    """heap-encapsulation: heapq/_heap stay inside the engine backends."""
+    """heap-encapsulation: heapq/_heap stay inside the engine."""
     owner = config.HEAP_OWNER_PACKAGE
     if module.modname == owner or module.modname.startswith(owner + "."):
         return
@@ -121,13 +120,13 @@ def check_heap_encapsulation(module, findings: List[Finding]) -> None:
         else:
             continue
         if hit:
-            what = ("backend-private attribute '_heap'"
+            what = ("engine-private attribute '_heap'"
                     if isinstance(node, ast.Attribute) else "heapq")
             findings.append(Finding(
                 "heap-encapsulation", module.path, node.lineno,
                 node.col_offset,
                 f"direct use of {what} outside {owner}; schedule through "
-                f"the Engine API so the event store stays swappable",
+                f"the Engine API so the event store stays private",
                 symbol=module.symbol_at(node.lineno),
                 modname=module.modname))
 
