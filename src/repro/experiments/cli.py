@@ -28,7 +28,6 @@ results survive either way.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import List, Optional
@@ -106,15 +105,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="result cache directory (default "
                            f"{default_cache_dir()!r}, or "
                            f"${CACHE_DIR_ENV_VAR})")
-    snapp = runp.add_mutually_exclusive_group()
-    snapp.add_argument("--snapshot", dest="snapshot", action="store_true",
-                       default=None,
-                       help="warm-start scenarios by forking frozen prefix "
-                            "worlds (default on, or $VSCHED_REPRO_SNAPSHOT)")
-    snapp.add_argument("--no-snapshot", dest="snapshot",
-                       action="store_false",
-                       help="rebuild every scenario prefix cold (the A/B "
-                            "baseline for the byte-identity contract)")
     runp.add_argument("--out", default=None,
                       help="also write rendered tables to this file "
                            "(truncated unless --append)")
@@ -139,11 +129,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     cache_on = args.cache if args.cache is not None else cache_enabled_by_env()
     cache = ResultCache(args.cache_dir) if cache_on else None
-
-    if args.snapshot is not None:
-        # Exported as an env var so pool workers (fork or spawn) inherit
-        # the same mode; snapstore.execute_unit consults it per unit.
-        os.environ["VSCHED_REPRO_SNAPSHOT"] = "1" if args.snapshot else "0"
 
     supervised = (args.keep_going or args.max_retries is not None
                   or args.unit_timeout is not None)

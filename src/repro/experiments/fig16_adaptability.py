@@ -14,15 +14,18 @@ phases:
    suffers.
 
 The table reports mean requests/second per phase for CFS and vSched.
+Each mode is one work unit running one timeline: the transitions are
+applied synchronously between ``run_until`` calls at the phase
+boundaries, so the unit fires the same events however units are spread
+across workers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.cluster import attach_scheduler, build_plain_vm, make_context
 from repro.experiments.common import Table
-from repro.experiments.snapstore import PrefixSpec
 from repro.experiments.units import WorkUnit, execute_serial
 from repro.core.weights import weight_for_nice
 from repro.sim.engine import MSEC, SEC
@@ -34,9 +37,8 @@ MODES = ("cfs", "vsched")
 
 # ---------------------------------------------------------------------------
 # Host-condition transitions, applied synchronously at phase boundaries.
-# Module-level functions over the roots dict (not closures): the roots are
-# deep-copied together with the engine, so the stress handles they stash
-# always name tasks of *this* fork's machine.
+# Each takes the roots dict so the stress handles one phase adds can be
+# removed by the next.
 # ---------------------------------------------------------------------------
 def _to_overcommitted(roots: Dict) -> None:
     env = roots["env"]
@@ -75,7 +77,7 @@ _TRANSITIONS = {"overcommitted": _to_overcommitted,
 
 
 def _phase_dedicated(mode: str, phase_ns: int) -> Dict:
-    """Root prefix: build, start Nginx, run the dedicated phase."""
+    """Build, start Nginx, run the dedicated phase."""
     env = build_plain_vm(16, host_slice_ns=5 * MSEC)
     vs = attach_scheduler(env, mode)
     ctx = make_context(env, vs, f"fig16-{mode}")
@@ -86,20 +88,15 @@ def _phase_dedicated(mode: str, phase_ns: int) -> Dict:
 
 
 def _enter_phase(roots: Dict, phase: str, end_multiple: int,
-                 phase_ns: int) -> Dict:
-    """Chained prefix: apply one transition, run to the phase's end."""
+                 phase_ns: int) -> None:
+    """Apply one transition, run to the phase's end."""
     _TRANSITIONS[phase](roots)
     roots["engine"].run_until(end_multiple * phase_ns)
-    return roots
 
 
 def _phase_rps(roots: Dict, phase_index: int, phase_ns: int) -> float:
-    """Work-unit body: mean requests/second of the phase just simulated.
+    """Mean requests/second of the phase just simulated.
 
-    Pure arithmetic over the server's completion log — the phase itself
-    was simulated by the prefix chain, so each deeper phase forks the
-    previous boundary instead of replaying the whole timeline (the cold
-    ``--no-snapshot`` path replays it, which is the A/B baseline).
     Skips the first 30% of the phase as transition/adaptation time.
     """
     t0 = phase_index * phase_ns + (3 * phase_ns) // 10
@@ -107,34 +104,31 @@ def _phase_rps(roots: Dict, phase_index: int, phase_ns: int) -> float:
     return roots["nginx"].served_between(t0, t1) / ((t1 - t0) / SEC)
 
 
+def _timeline(mode: str, phase_ns: int) -> Tuple[float, ...]:
+    """Work-unit body: one four-phase timeline under one scheduler.
+
+    Each transition is applied between ``run_until`` calls, at the exact
+    phase boundary, and each phase is measured as soon as it ends.
+    """
+    roots = _phase_dedicated(mode, phase_ns)
+    rps = [_phase_rps(roots, 0, phase_ns)]
+    for k, phase in enumerate(PHASES[1:], start=1):
+        _enter_phase(roots, phase, k + 1, phase_ns)
+        rps.append(_phase_rps(roots, k, phase_ns))
+    return tuple(rps)
+
+
 def scenarios(fast: bool) -> List[WorkUnit]:
     phase_ns = (15 if fast else 30) * SEC
-    unit_cost = 3.5 if fast else 7.0
-    units = []
-    for mode in MODES:
-        chain = PrefixSpec(key=f"fig16-{mode}-dedicated",
-                           func=_phase_dedicated, config=(mode, phase_ns),
-                           seed=f"fig16-{mode}")
-        for k, phase in enumerate(PHASES):
-            if k > 0:
-                chain = PrefixSpec(key=f"fig16-{mode}-{phase}",
-                                   func=_enter_phase,
-                                   config=(phase, k + 1, phase_ns),
-                                   seed=f"fig16-{mode}", parent=chain)
-            # Cold cost grows with chain depth (a cold unit replays every
-            # phase up to its own), which also keeps timeouts honest.
-            units.append(WorkUnit(exp_id="fig16", label=f"{mode}-{phase}",
-                                  func=_phase_rps, config=(k, phase_ns),
-                                  cost_hint=unit_cost * (k + 1),
-                                  seed=f"fig16-{mode}", prefix=chain))
-    return units
+    cost = 14.0 if fast else 28.0
+    return [WorkUnit(exp_id="fig16", label=mode, func=_timeline,
+                     config=(mode, phase_ns), cost_hint=cost,
+                     seed=f"fig16-{mode}")
+            for mode in MODES]
 
 
-def assemble(fast: bool, results: List[float]) -> Table:
-    it = iter(results)
-    per_mode = {mode: {phase: next(it) for phase in PHASES}
-                for mode in MODES}
-    cfs, vsched = per_mode["cfs"], per_mode["vsched"]
+def assemble(fast: bool, results: List[Tuple[float, ...]]) -> Table:
+    cfs, vsched = (dict(zip(PHASES, rps)) for rps in results)
     table = Table(
         exp_id="fig16",
         title="Nginx live throughput across host phases (requests/s)",

@@ -1,33 +1,32 @@
-"""Warm-start snapshot store: build each scenario prefix once, fork many.
+"""Warm-start snapshot store: build a scenario prefix once, fork many.
 
-Most sweep scenarios share an expensive setup: build the VM, attach the
+Some sweep scenarios share an expensive setup: build the VM, attach the
 scheduler, run the warmup until the probers converge — and only then
-diverge (install an antagonist, start a workload, flip a feature).  A
+diverge (start a different benchmark, flip a feature).  A
 :class:`PrefixSpec` names that shared prefix declaratively; the first unit
 in a process that needs it builds the world cold, runs it to the
 divergence point, and freezes it as a
 :class:`~repro.sim.snapshot.WorldSnapshot`.  Every later unit with the
 same prefix forks the frozen image instead of rebuilding — byte-identical
-results (``tools/abdiff.py`` proves it) at a fraction of the wall time.
+results (``tools/abdiff.py --snapshot-modes`` proves it).
+
+Only fig14 declares prefixes: its two 6 s warm-ups serve 20 units, and
+forking them fires 554,985 events in fast mode against 1,686,285 cold.
+Experiments whose units share no simulated time (fig11, figA1) or run
+one timeline per unit (fig16) build their worlds directly
+(docs/INTERNALS.md §15).
 
 Keying follows the unit result cache
 (:mod:`repro.experiments.cache`): a prefix snapshot is addressed by
-``SHA-256(code fingerprint | prefix chain (key, config, seed) | fast)``,
-so any source change invalidates every stored prefix, exactly like unit
-results.  The store itself is **in-process** (snapshots hold live object
-graphs; they are never pickled to disk) — each campaign worker process
-grows its own store, which is why sharing a prefix across many units of
-the same experiment pays off even under the pooled scheduler.
+``SHA-256(code fingerprint | prefix (key, config, seed) | fast |
+tickless)``, so any source change invalidates every stored prefix,
+exactly like unit results.  The store itself is **in-process** (snapshots
+hold live object graphs; they are never pickled to disk) — each campaign
+worker process grows its own store.
 
-Prefixes chain: a spec with a ``parent`` extends the parent's world
-(fork parent → run the extension) instead of building from scratch, so a
-phase-structured experiment (fig16's host-condition timeline) snapshots
-each phase boundary once and forks per-phase measurement variants from
-it.
-
-``$VSCHED_REPRO_SNAPSHOT=0`` (or ``--no-snapshot``) disables forking:
-every unit then rebuilds its full prefix chain cold through the *same*
-builder functions, which is the A/B baseline for the identity contract.
+``$VSCHED_REPRO_SNAPSHOT=0`` disables forking: every unit then rebuilds
+its prefix cold through the *same* builder function, which is the A/B
+baseline for the identity contract.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from repro.sim.engine import elision_default, snapshot_default
 from repro.sim.snapshot import WorldSnapshot
 
 __all__ = ["PrefixSpec", "SnapshotStore", "execute_unit", "process_store",
-           "reset_process_store", "prefix_chain_parts", "prefix_store_key",
+           "reset_process_store", "prefix_parts", "prefix_store_key",
            "snapshot_counters", "build_cold"]
 
 
@@ -49,13 +48,11 @@ __all__ = ["PrefixSpec", "SnapshotStore", "execute_unit", "process_store",
 class PrefixSpec:
     """Declarative description of a shared scenario prefix.
 
-    ``func`` must be module-level (picklable by reference).  For a root
-    prefix (``parent is None``) it is called as ``func(*config)`` and must
-    return the world's *roots*: a dict of top-level handles containing at
-    least ``"engine"`` (everything a diverging unit needs to keep driving
-    the world — env, scheduler, workload context...).  For a chained
-    prefix it is called as ``func(roots, *config)`` on a fork of the
-    parent's world and returns the (possibly same) roots dict.
+    ``func`` must be module-level (picklable by reference).  It is called
+    as ``func(*config)`` and must return the world's *roots*: a dict of
+    top-level handles containing at least ``"engine"`` (everything a
+    diverging unit needs to keep driving the world — env, scheduler,
+    workload context...).
 
     ``config`` must be plain data — it feeds the store key via ``repr``,
     exactly like a work unit's config feeds the result-cache key.
@@ -66,24 +63,18 @@ class PrefixSpec:
     func: Callable
     config: Tuple = ()
     seed: str = ""
-    parent: Optional["PrefixSpec"] = None
 
 
-def prefix_chain_parts(prefix: Optional[PrefixSpec]) -> List[str]:
-    """Key material naming a prefix chain (innermost first)."""
-    parts: List[str] = []
-    p = prefix
-    while p is not None:
-        parts.extend((p.key, repr(p.config), p.seed))
-        p = p.parent
-    return parts
+def prefix_parts(prefix: PrefixSpec) -> List[str]:
+    """Key material naming a prefix: its key, config and seed."""
+    return [prefix.key, repr(prefix.config), prefix.seed]
 
 
 def prefix_store_key(prefix: PrefixSpec, fast: bool,
                      fingerprint: Optional[str] = None) -> str:
     """Content address of one prefix's frozen world.
 
-    Besides the chain and the fast/full mode, the key names the engine's
+    Besides the prefix and the fast/full mode, the key names the engine's
     process-wide tickless-elision knob: a frozen world bakes it in at
     construction, so an in-process toggle — the A/B tests flip the env var
     mid-run — must miss rather than fork a world built under the other
@@ -92,7 +83,7 @@ def prefix_store_key(prefix: PrefixSpec, fast: bool,
     from repro.experiments.cache import code_fingerprint
     h = hashlib.sha256()
     parts = [fingerprint if fingerprint is not None else code_fingerprint()]
-    parts += prefix_chain_parts(prefix)
+    parts += prefix_parts(prefix)
     parts.append("fast" if fast else "full")
     parts.append(f"tickless={int(elision_default())}")
     for part in parts:
@@ -105,13 +96,10 @@ def build_cold(prefix: PrefixSpec) -> Dict[str, Any]:
     """Build a prefix world with no snapshotting at all.
 
     The disabled-mode path and the miss path run the same builder
-    functions in the same order; the only difference is whether the
-    result is frozen afterwards.
+    function; the only difference is whether the result is frozen
+    afterwards.
     """
-    if prefix.parent is None:
-        roots = prefix.func(*prefix.config)
-    else:
-        roots = prefix.func(build_cold(prefix.parent), *prefix.config)
+    roots = prefix.func(*prefix.config)
     if "engine" not in roots:
         raise KeyError(
             f"prefix {prefix.key!r}: builder returned roots without an "
@@ -150,17 +138,7 @@ class SnapshotStore:
             return snap
         self.misses += 1
         started = time.perf_counter()
-        if prefix.parent is None:
-            roots = prefix.func(*prefix.config)
-            if "engine" not in roots:
-                raise KeyError(
-                    f"prefix {prefix.key!r}: builder returned roots "
-                    f"without an 'engine' entry")
-        else:
-            _engine, roots = self.acquire(prefix.parent, fast,
-                                          fingerprint).fork()
-            self.forks += 1
-            roots = prefix.func(roots, *prefix.config)
+        roots = build_cold(prefix)
         snap = WorldSnapshot(roots["engine"], roots)
         cost = time.perf_counter() - started
         self._snaps[key] = snap
@@ -216,7 +194,7 @@ def execute_unit(func: Callable, config: Tuple,
 
     With a prefix and snapshots enabled, the unit function is called as
     ``func(roots, *config)`` on a private fork of the frozen prefix
-    world.  With snapshots disabled the prefix chain is rebuilt cold —
+    world.  With snapshots disabled the prefix is rebuilt cold —
     through the identical builder code — before the same call.  Without a
     prefix this is exactly ``func(*config)``.
     """

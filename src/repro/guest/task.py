@@ -24,7 +24,7 @@ import copy
 import enum
 import inspect
 import types
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Generator, Iterable, Optional
 
 from repro.guest.pelt import Pelt
 
@@ -169,26 +169,6 @@ class StatefulBody:
         return self.send(None)
 
 
-#: Body factories whose tasks may be forked by *fresh restart*: calling
-#: the (copied) factory again yields a generator that, on its next send,
-#: produces exactly the action the suspended original would have.  Valid
-#: only for homogeneous loops whose cross-iteration state lives outside
-#: the generator (on the task / workload object) and is mutated *before*
-#: the yield — see docs/INTERNALS.md §15.
-_RESTARTABLE_BODIES: set = set()
-
-
-def restartable_body(factory: Callable) -> Callable:
-    """Register ``factory`` (a plain function or method) as restartable."""
-    _RESTARTABLE_BODIES.add(factory)
-    return factory
-
-
-def _factory_restartable(factory) -> bool:
-    return (factory in _RESTARTABLE_BODIES
-            or getattr(factory, "__func__", None) in _RESTARTABLE_BODIES)
-
-
 def _factory_copies_safely(factory) -> bool:
     """True when deep-copying ``factory`` cannot alias the original world.
 
@@ -229,12 +209,9 @@ class Task:
         self.latency_sensitive = latency_sensitive
         self.state = TaskState.NEW
         self.api = TaskApi(kernel, self)
-        #: The body factory, kept for snapshot forking (restartable
-        #: bodies are recreated from it on deep copy).
+        #: The body factory, kept for snapshot forking (a never-started
+        #: generator body is recreated from it on deep copy).
         self.factory = factory
-        #: Free-form per-task state for restartable bodies that need
-        #: cross-iteration storage outside the generator frame.
-        self.scratch: dict = {}
         self.body: Generator = factory(self.api)
 
         # --- scheduler state ------------------------------------------
@@ -301,9 +278,8 @@ class Task:
         * exited tasks drop theirs (an exhausted generator is never
           resumed again; ``advance_task`` is unreachable for EXITED);
         * :class:`StatefulBody` instances copy structurally;
-        * generators from a registered :func:`restartable_body` factory
-          (or any never-started generator) are recreated by calling the
-          *copied* factory — valid by the restart-equivalence contract;
+        * a never-started generator is recreated by calling the *copied*
+          factory, which yields the same first action;
         * anything else raises :class:`~repro.sim.snapshot.SnapshotError`
           naming the task, so an unforkable world fails loudly.
         """
@@ -324,17 +300,12 @@ class Task:
             return None
         if not isinstance(body, types.GeneratorType):
             return copy.deepcopy(body, memo)  # StatefulBody et al.
-        restartable = (_factory_restartable(self.factory)
-                       and self.resume_value is None)
-        never_started = (inspect.getgeneratorstate(body)
-                         == inspect.GEN_CREATED)
         factory_name = getattr(self.factory, "__qualname__", self.factory)
-        if not (restartable or never_started):
+        if inspect.getgeneratorstate(body) != inspect.GEN_CREATED:
             raise SnapshotError(
                 f"task {self.name!r} is suspended inside a plain generator "
-                f"body ({factory_name!r}); convert it to a StatefulBody or "
-                f"register it with @restartable_body to make the world "
-                f"forkable")
+                f"body ({factory_name!r}); convert it to a StatefulBody to "
+                f"make the world forkable")
         if not _factory_copies_safely(self.factory):
             raise SnapshotError(
                 f"task {self.name!r}: body factory {factory_name!r} is a "

@@ -452,15 +452,15 @@ class Engine:
         return len(self._heap) - self._ncancelled
 
     # ------------------------------------------------------------------
-    # Snapshot / restore
+    # Snapshot support
     # ------------------------------------------------------------------
     def materialize(self) -> None:
         """Replay all deferred (elided) state by running the sync hooks.
 
         Identical to what run()/run_until() do on completion; exposed so
         the snapshot layer can assert a fully-materialized world before
-        freezing — a frozen half-materialized world would let a restore
-        skip ``_catch_up`` replay that the cold run performed.
+        freezing — a frozen half-materialized world would let a fork skip
+        ``_catch_up`` replay that the cold run performed.
         """
         for hook in self._sync_hooks:
             hook()
@@ -480,34 +480,6 @@ class Engine:
         memo[id(self)] = new
         new.__dict__.update(copy.deepcopy(self.__dict__, memo))
         return new
-
-    def snapshot(self) -> "Engine":
-        """Freeze this engine (and everything reachable from its queue).
-
-        Returns an inert deep copy sharing nothing mutable with the live
-        engine.  Sync hooks run first so elided timer state is fully
-        materialized — the frozen world equals what a cold run observes
-        between runs.  Restore it with :meth:`restore` (in place) or fork
-        it any number of times with ``copy.deepcopy`` /
-        :class:`repro.sim.snapshot.WorldSnapshot`.
-        """
-        self.materialize()
-        return copy.deepcopy(self)
-
-    def restore(self, frozen: "Engine") -> None:  # vschedlint: disable=identity-key -- pre-seeding the deepcopy memo (id-keyed by protocol) is what rewires frozen-engine back-refs to self
-        """Replace this engine's state with a fork of ``frozen``.
-
-        The memo is pre-seeded with ``frozen -> self`` so engine
-        back-refs inside the copied events (and anything else reachable
-        that points at the frozen engine) rewire to *this* object —
-        callers holding a reference to this engine keep a valid handle.
-        ``frozen`` itself is never mutated and stays restorable.
-        """
-        if self._running or frozen._running:
-            raise RuntimeError("cannot restore a running engine")
-        memo: Dict[int, Any] = {id(frozen): self}
-        self.__dict__.clear()
-        self.__dict__.update(copy.deepcopy(frozen.__dict__, memo))
 
     # ------------------------------------------------------------------
     # Lazy-cancellation bookkeeping

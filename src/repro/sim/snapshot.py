@@ -25,9 +25,9 @@ pending event before freezing and raises :class:`SnapshotError` naming
 each offender, so an unsafe world fails loudly at freeze time instead of
 corrupting results at fork time.  Generators cannot be deep-copied at
 all; live task bodies are handled by :class:`repro.guest.task.Task`'s
-own ``__deepcopy__`` (restartable-factory registry / explicit
-state-machine bodies), and the guard rejects raw generators appearing in
-event arguments.
+own ``__deepcopy__`` (explicit state-machine bodies, or generators that
+never started), and the guard rejects raw generators appearing in event
+arguments.
 
 Soundness across tickless elision: freezing first calls
 ``engine.materialize()`` (the same sync hooks run()/run_until() fire),
@@ -51,26 +51,8 @@ class SnapshotError(RuntimeError):
     """The world cannot be safely frozen or forked."""
 
 
-#: Module-level callables explicitly vetted as snapshot-safe despite not
-#: being recognisable as such structurally (rare; prefer bound methods).
-_SAFE_CALLBACKS: set = set()
-
-
-def snapshot_safe(func: Callable) -> Callable:
-    """Mark a callable as safe to sit in a pending event across a freeze.
-
-    Decorator form.  Registering asserts the callable neither closes over
-    nor defaults to mutable world state — use only when restructuring to
-    a bound method is genuinely impossible.
-    """
-    _SAFE_CALLBACKS.add(func)
-    return func
-
-
 def _why_unsafe(cb: Callable) -> Optional[str]:
     """Why ``cb`` would not survive a deep copy, or None when it would."""
-    if cb in _SAFE_CALLBACKS:
-        return None
     if isinstance(cb, types.MethodType):
         # Bound method of an in-world object: the receiver copies through
         # the memo and the method rebinds to the copy.
@@ -148,8 +130,7 @@ class WorldSnapshot:
         except TypeError as exc:
             raise SnapshotError(
                 f"world freeze failed mid-copy: {exc} — most often a live "
-                f"generator body without a restartable factory or "
-                f"StatefulBody conversion") from exc
+                f"generator body without a StatefulBody conversion") from exc
 
     def fork(self) -> Tuple[Engine, Dict[str, Any]]:
         """Return ``(engine, roots)`` of a fresh independent world."""

@@ -3,15 +3,16 @@
 The warm-start contract (docs/INTERNALS.md §15) has three layers, each
 tested here against its cold-path twin:
 
-* engine layer — ``Engine.snapshot()/restore()`` replay the identical
-  event sequence with tickless elision on or off (including the
-  restore-then-``_catch_up`` case: elided guest ticks materialize before
-  the freeze, and elision resumes after the fork);
+* engine layer — a forked world replays the identical event sequence
+  with tickless elision on or off (including the fork-then-``_catch_up``
+  case: elided guest ticks materialize before the freeze, and elision
+  resumes after the fork), and the engine refuses to be copied
+  mid-dispatch;
 * world layer — :class:`WorldSnapshot` freezes engine + roots in one
   deep copy, the guard rejects copy-unsafe callbacks loudly, and every
   fork is independent of its siblings and of the frozen image;
 * store layer — :class:`SnapshotStore` keys on (code fingerprint,
-  prefix chain, fast, tickless), hits after one miss, and
+  prefix, fast, tickless), hits after one miss, and
   ``execute_unit`` produces identical results with snapshotting on and
   off.
 """
@@ -31,6 +32,7 @@ from repro.experiments.snapstore import (
     process_store,
     reset_process_store,
 )
+from repro.guest.task import Task
 from repro.sim.engine import MSEC, SEC, Engine
 from repro.sim.rng import make_rng, rng_signature
 from repro.sim.snapshot import SnapshotError, WorldSnapshot, guard_world
@@ -119,31 +121,53 @@ class TestForkResumesElision:
 
 
 class TestEngineRestore:
-    def test_restore_replays_identical_event_sequence(self):
-        roots = _world()
-        eng = roots["engine"]
-        eng.run_until(1 * SEC)
-        frozen = eng.snapshot()
-        eng.run_until(2 * SEC)
-        first = (eng.now, eng.events_fired, eng.events_elided)
-
-        eng.restore(frozen)
-        assert (eng.now, eng.events_fired, eng.events_elided) != first
-        eng.run_until(2 * SEC)
-        assert (eng.now, eng.events_fired, eng.events_elided) == first
-
     def test_snapshot_refused_while_running(self):
         eng = Engine()
         seen = []
 
         def freeze_mid_run():
             with pytest.raises(RuntimeError, match="running"):
-                eng.snapshot()
+                copy.deepcopy(eng)
             seen.append("tried")
 
         eng.call_at(10, freeze_mid_run)
         eng.run_until(20)
         assert seen == ["tried"]
+
+
+def _spin_body(api):
+    while True:
+        yield api.run(1 * MSEC)
+
+
+class TestTaskBodyCopy:
+    """``Task.__deepcopy__`` forks only bodies it can resume exactly."""
+
+    def test_never_started_generator_is_recreated(self):
+        env = build_plain_vm(1)
+        task = Task(env.kernel, "spin", _spin_body)
+        clone = copy.deepcopy(task)
+        assert clone.body is not task.body
+        assert clone.factory is _spin_body
+
+    def test_suspended_generator_is_refused(self):
+        env = build_plain_vm(1)
+        env.kernel.spawn(_spin_body, "spin", cpu=0, allowed=(0,))
+        env.engine.run_until(10 * MSEC)
+        with pytest.raises(SnapshotError, match="StatefulBody"):
+            WorldSnapshot(env.engine, {"env": env})
+
+    def test_closure_factory_is_refused(self):
+        env = build_plain_vm(1)
+        work = 1 * MSEC
+
+        def closure_body(api):
+            while True:
+                yield api.run(work)
+
+        task = Task(env.kernel, "c", closure_body)
+        with pytest.raises(SnapshotError, match="closure"):
+            copy.deepcopy(task)
 
 
 class TestGuard:
@@ -215,11 +239,6 @@ def _ticker_prefix(period: int):
     return {"engine": eng, "ticker": ticker}
 
 
-def _ticker_extend(roots, extra_periods: int):
-    eng = roots["engine"]
-    eng.run_until(eng.now + extra_periods * roots["ticker"].period)
-    return roots
-
 def _ticker_unit(roots, horizon: int):
     roots["engine"].run_until(horizon)
     return (roots["engine"].now, roots["ticker"].count)
@@ -238,9 +257,6 @@ class TestStoreKey:
         other = PrefixSpec(key="ticker", func=_ticker_prefix, config=(200,),
                            seed="t-100")
         assert prefix_store_key(other, True, FP) != base
-        chained = PrefixSpec(key="ext", func=_ticker_extend, config=(5,),
-                             parent=_SPEC)
-        assert prefix_store_key(chained, True, FP) != base
 
     def test_engine_mode_knobs_isolate(self, monkeypatch):
         # A frozen world bakes the elision mode in at construction; an
@@ -269,18 +285,6 @@ class TestSnapshotStore:
         assert b["ticker"].count == 10  # sibling unmoved by a's divergence
         b["engine"].run_until(20_000)
         assert a["ticker"].count == b["ticker"].count == 200
-
-    def test_chained_prefix_forks_parent_once(self):
-        store = SnapshotStore()
-        chained = PrefixSpec(key="ext", func=_ticker_extend, config=(5,),
-                             parent=_SPEC)
-        roots = store.fork(chained, True, FP)
-        assert roots["engine"].now == 1500
-        assert roots["ticker"].count == 15
-        # parent miss + chained miss; one fork to extend, one to hand out.
-        assert (store.misses, store.forks) == (2, 2)
-        store.fork(chained, True, FP)
-        assert (store.misses, store.hits, store.forks) == (2, 1, 3)
 
 
 class TestExecuteUnit:

@@ -10,7 +10,9 @@ reference combination (elision on, forking on):
   suppressed host timers fire logically at the same instants.
 * ``VSCHED_REPRO_SNAPSHOT`` on/off (``--snapshot-modes``) — warm-start
   prefix forking (INTERNALS §15) must render the same bytes as cold
-  rebuilds of every prefix chain through the same builder code.
+  rebuilds of every prefix through the same builder code.  fig14 is the
+  only experiment with prefixes; every other experiment ignores this
+  axis.
 
 Any table divergence on any axis is a correctness bug, not noise.
 
@@ -93,7 +95,7 @@ def main(argv=None) -> int:
     parser.add_argument("--snapshot-modes", action="store_true",
                         help="add the warm-start axis: run every combo "
                              "with prefix forking on AND off (off rebuilds "
-                             "every prefix chain cold)")
+                             "every prefix cold)")
     args = parser.parse_args(argv)
 
     ids = (args.experiments.split(",") if args.experiments else ALL_ORDER)

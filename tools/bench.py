@@ -11,9 +11,7 @@ hits/misses (a warm rerun of an unchanged tree is all hits).
 Each row (and the report header) also carries a ``snapshot`` block — the
 warm-start store's hit/miss/fork/cold-build counts and the prefix seconds
 saved by forking frozen worlds instead of replaying warm-ups
-(``docs/INTERNALS.md`` §15).  ``$VSCHED_REPRO_SNAPSHOT=0`` turns forking
-off, which is how the A/B win is measured: same command, flip the env
-var, compare ``total_wall_s``.
+(``docs/INTERNALS.md`` §15).
 
 With ``--jobs N`` (N > 1) the catalogue runs as one supervised campaign
 through the flat scheduler: per-scenario wall/events come from the worker
@@ -237,11 +235,6 @@ def main(argv=None) -> int:
     parser.add_argument("--profile", default=None, metavar="EXP_ID",
                         help="cProfile this experiment, print the top 20 "
                              "cumulative entries, and exit")
-    parser.add_argument("--snapshot-ab", action="store_true",
-                        help="after the primary run, rerun the ids with "
-                             "$VSCHED_REPRO_SNAPSHOT=0 and embed the "
-                             "per-experiment cold-vs-forked wall-time "
-                             "comparison in the report")
     args = parser.parse_args(argv)
 
     if args.profile:
@@ -298,45 +291,6 @@ def main(argv=None) -> int:
                        else SupervisorStats().as_dict()),
         "experiments": primary,
     }
-    if args.snapshot_ab:
-        saved_snap = os.environ.get("VSCHED_REPRO_SNAPSHOT")
-        os.environ["VSCHED_REPRO_SNAPSHOT"] = "0"
-        try:
-            if args.jobs > 1:
-                off_rows = bench_campaign(ids, fast=args.fast,
-                                          check=args.check,
-                                          jobs=args.jobs, cache=None)
-            else:
-                off_rows = [bench_one(exp_id, fast=args.fast,
-                                      check=args.check)
-                            for exp_id in ids]
-        finally:
-            if saved_snap is None:
-                os.environ.pop("VSCHED_REPRO_SNAPSHOT", None)
-            else:
-                os.environ["VSCHED_REPRO_SNAPSHOT"] = saved_snap
-        on_by_id = {r["exp_id"]: r for r in primary}
-        ab = {}
-        for off in off_rows:
-            on = on_by_id[off["exp_id"]]
-            ab[off["exp_id"]] = {
-                "forked_wall_s": on["wall_s"],
-                "cold_wall_s": off["wall_s"],
-                "speedup": round(off["wall_s"] / on["wall_s"], 2)
-                if on["wall_s"] > 0 else 0.0,
-            }
-        on_total = sum(r["wall_s"] for r in primary)
-        off_total = sum(r["wall_s"] for r in off_rows)
-        report["snapshot_ab"] = {
-            "forked_total_wall_s": round(on_total, 3),
-            "cold_total_wall_s": round(off_total, 3),
-            "speedup": round(off_total / on_total, 2)
-            if on_total > 0 else 0.0,
-            "experiments": ab,
-        }
-        print(f"snapshot A/B: forked {on_total:.1f}s vs cold "
-              f"{off_total:.1f}s -> x{report['snapshot_ab']['speedup']:.2f}",
-              flush=True)
     if cache is not None:
         report["cache"] = {
             "dir": cache.path,

@@ -153,9 +153,9 @@ ELISION_SYNC_CALLS = frozenset({
     "sync_ticks",           # kernel-wide replay (GuestKernel, engine hook)
     "_note_host_waiting",   # host balance-grid re-arm (Machine)
     "materialize",          # engine-wide replay via the registered sync
-                            # hooks — Engine.snapshot()/WorldSnapshot call
-                            # it before freezing, so state read after a
-                            # freeze point is fully materialized (§15)
+                            # hooks — WorldSnapshot calls it before
+                            # freezing, so state read after a freeze
+                            # point is fully materialized (§15)
 })
 
 #: Functions allowed to touch registered fields without syncing, because
@@ -252,8 +252,8 @@ LISTENER_ATTRS = frozenset({"activity_listeners"})
 #: builder, mapped to its positional index.  These are the reachability
 #: roots: the code a warm pooled worker runs per unit.
 UNIT_ROOT_CTORS = {
-    "WorkUnit": 2,    # WorkUnit(exp_id, label, func, ...)
-    "PrefixSpec": 1,  # PrefixSpec(key, func, ...)
+    "WorkUnit": 2,    # positional (exp_id, label, func, ...)
+    "PrefixSpec": 1,  # positional (key, func, ...)
 }
 
 #: Builtin-container method names: ``x.append`` passed as a callback is
@@ -265,12 +265,6 @@ BOUND_BUILTIN_METHODS = frozenset({
     "append", "appendleft", "add", "extend", "update", "insert", "remove",
     "discard", "pop", "popleft", "clear", "setdefault", "sort", "reverse",
 })
-
-#: Decorators that vouch for a callable's copy safety at runtime
-#: (``repro.sim.snapshot.snapshot_safe``) or route it through the task
-#: layer's own ``__deepcopy__`` machinery
-#: (``repro.guest.task.restartable_body``).  The static rules trust them.
-SNAPSHOT_SAFE_DECORATORS = frozenset({"snapshot_safe", "restartable_body"})
 
 #: Mutation method names used to detect writes to module-level mutables.
 MUTATOR_METHODS = frozenset({
@@ -334,7 +328,7 @@ PROCESS_STATE_BLESSED = {
     "repro.experiments.snapstore": {
         "_process_store": "the intentional per-process snapshot store; "
                           "entries are content-addressed by code "
-                          "fingerprint + prefix chain + mode, and abdiff "
+                          "fingerprint + prefix + mode, and abdiff "
                           "--snapshot-modes proves fork==cold",
     },
     "repro.experiments.cache": {
@@ -351,16 +345,6 @@ PROCESS_STATE_BLESSED = {
         "_DECAY_CACHE": "memo table of y^p decay powers — a pure "
                         "function of its key, so warm entries are "
                         "byte-identical to cold recomputation",
-    },
-    "repro.sim.snapshot": {
-        "_SAFE_CALLBACKS": "decorator registry, appended at function "
-                           "definition time (import), deterministic per "
-                           "code version",
-    },
-    "repro.guest.task": {
-        "_RESTARTABLE_BODIES": "decorator registry, appended at function "
-                               "definition time (import), deterministic "
-                               "per code version",
     },
     "repro.sim.engine": {
         "Engine.total_events_fired": "process-wide telemetry; units "

@@ -103,7 +103,6 @@ class FunctionInfo:
     free: List[str] = field(default_factory=list)   # closure cells
     mutable_defaults: bool = False
     has_yield: bool = False
-    decorators: List[str] = field(default_factory=list)
     calls: List[List[str]] = field(default_factory=list)  # [kind, name]
     returns: List[dict] = field(default_factory=list)     # expr summaries
 
@@ -226,17 +225,6 @@ def _is_mutable_value(node: ast.AST) -> bool:
     return False
 
 
-def _decorator_names(fn) -> List[str]:
-    out = []
-    for dec in fn.decorator_list:
-        node = dec.func if isinstance(dec, ast.Call) else dec
-        name = _dotted(node) or (node.id if isinstance(node, ast.Name) else
-                                 getattr(node, "attr", None))
-        if name:
-            out.append(name.split(".")[-1])
-    return out
-
-
 class _Extractor(ast.NodeVisitor):
     """One pass over a module AST filling a FileRecord."""
 
@@ -340,7 +328,6 @@ class _Extractor(ast.NodeVisitor):
             free=self._frees_of(node),
             mutable_defaults=any(_is_mutable_value(d) for d in defaults),
             has_yield=has_yield,
-            decorators=_decorator_names(node),
             calls=sorted({tuple(c) for c in calls} - {()},
                          key=lambda c: (c[0], c[1])),
             returns=returns)

@@ -17,9 +17,8 @@ divergence surfaces (if ever) as an unexplainable A/B or cache mismatch.
 Intentional process-level stores carry reasoned blessings in
 ``config.PROCESS_STATE_BLESSED`` — the snapshot store and fingerprint
 memo (content-addressed: a stale entry cannot alias a different input),
-decorator registries (written at import time, deterministic per code
-version), and the engine's telemetry counters (units report deltas;
-results never read them).  The registry is the paper trail: every entry
+the PELT decay memo (a pure function of its key), and the engine's
+telemetry counters (units report deltas; results never read them).  The registry is the paper trail: every entry
 says why persistence cannot change a unit's result.
 """
 

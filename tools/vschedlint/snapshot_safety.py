@@ -23,9 +23,6 @@ mid-campaign crash.  Cross-module resolution goes through the project
 index; callables the index cannot resolve (parameters, values out of
 containers) are conservatively trusted — the runtime guard remains the
 backstop for those, which is the documented under-approximation.
-
-``@snapshot_safe`` and ``@restartable_body`` vouch for a callable and
-silence the rules, mirroring the runtime escape hatches.
 """
 
 from __future__ import annotations
@@ -62,11 +59,6 @@ def _flag(findings: List[Finding], rec: FileRecord, site: dict, rule: str,
         f"{detail} registered via {site['kind']} — deepcopy would alias "
         f"the original world ({where}; see guard_world, INTERNALS §15)",
         symbol=site["func"], modname=rec.modname))
-
-
-def _is_vouched(info: FunctionInfo) -> bool:
-    return any(d in config.SNAPSHOT_SAFE_DECORATORS
-               for d in info.decorators)
 
 
 def _resolve_callable(index: ProjectIndex, rec: FileRecord, summary: dict,
@@ -120,8 +112,7 @@ def _check_callback(index: ProjectIndex, rec: FileRecord, site: dict,
             return
         hit = index.resolve_method(rec, cb["attr"],
                                    context_qual=site["func"])
-        if hit is not None and not _is_vouched(hit[1]):
-            if hit[1].mutable_defaults:
+        if hit is not None and hit[1].mutable_defaults:
                 _flag(findings, rec, site, "snapshot-mutable-default",
                       f"method {hit[1].qual!r} has mutable default "
                       f"arguments (shared between original and fork)",
@@ -131,7 +122,7 @@ def _check_callback(index: ProjectIndex, rec: FileRecord, site: dict,
     if form == "name":
         hit = index.resolve_function(rec, cb["id"],
                                      context_qual=site["func"])
-        if hit is None or _is_vouched(hit[1]):
+        if hit is None:
             return
         src, info = hit
         if info.free:
@@ -157,7 +148,7 @@ def _check_callback(index: ProjectIndex, rec: FileRecord, site: dict,
             return
         # factory call: whatever the factory returns is the callback.
         hit = _resolve_callable(index, rec, callee, site["func"])
-        if hit is None or _is_vouched(hit[1]):
+        if hit is None:
             return
         src, info = hit
         for ret in info.returns:
@@ -168,8 +159,7 @@ def _check_callback(index: ProjectIndex, rec: FileRecord, site: dict,
                       reachable)
             elif ret.get("form") == "name":
                 inner = src.function(f"{info.qual}.{ret['id']}")
-                if inner is not None and inner.free and not _is_vouched(
-                        inner):
+                if inner is not None and inner.free:
                     _flag(findings, rec, site, "snapshot-closure",
                           f"factory {info.qual!r} ({src.modname}) returns "
                           f"nested function {ret['id']!r} closing over "
@@ -187,8 +177,7 @@ def _check_arg(index: ProjectIndex, rec: FileRecord, site: dict, arg: dict,
     if form == "call":
         callee = arg.get("callee") or {}
         hit = _resolve_callable(index, rec, callee, site["func"])
-        if hit is not None and hit[1].has_yield and not _is_vouched(
-                hit[1]):
+        if hit is not None and hit[1].has_yield:
             _flag(findings, rec, site, "snapshot-generator",
                   f"argument is a live generator from {hit[1].qual!r} "
                   f"({hit[0].modname}) (generators cannot be deep-copied)",
