@@ -16,9 +16,11 @@ schedules a **single flat queue of work units** instead:
    ``assemble``\\ d in the parent, in deterministic presentation order, the
    moment its last unit lands — callers stream tables in paper order.
 
-Workers are plain ``Process`` objects (not ``Pool`` daemons) fed by a task
-queue; each pins its own in-worker default to one job so legacy
-``run_scenarios`` callers inside a unit can never nest another pool.
+Workers are plain ``Process`` objects fed one unit at a time.  This is
+the only fan-out: an experiment's ``run(fast=)`` and
+:func:`~repro.experiments.common.run_experiment` always execute in-process
+(:func:`~repro.experiments.units.execute_serial`), so every caller that
+reads the process-wide ``Engine`` counters sees each unit's events.
 
 A :class:`~repro.experiments.cache.ResultCache` can be layered underneath:
 unit keys are content addresses of ``(code, config, seed, fast)``, hits are
@@ -48,11 +50,9 @@ module-level (picklable) and must return picklable data (floats / dicts /
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import sys
 import time
-import traceback
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
@@ -63,51 +63,37 @@ from repro.experiments.supervisor import (
     DeadlinePolicy,
     RetryPolicy,
     SupervisorStats,
+    UnitOutcome,
+    measure_attempt,
     supervise,
+    unit_fate,
+    unit_tag,
 )
 from repro.experiments.units import (
-    TransientUnitError,
     WorkUnit,
     get_assemble,
     get_scenarios,
     supports_units,
 )
 
-__all__ = ["run_units", "run_campaign", "run_scenarios", "decompose",
-           "set_default_jobs", "default_jobs", "last_campaign_stats",
+__all__ = ["run_units", "decompose", "default_jobs", "last_campaign_stats",
            "CampaignResult", "UnitFailure", "CampaignInterrupted",
            "JOBS_ENV_VAR"]
 
-#: Environment variable consulted for the default worker count.
+#: Environment variable holding the campaign's default ``--jobs``.
 JOBS_ENV_VAR = "VSCHED_REPRO_JOBS"
 
-_default_jobs: Optional[int] = None
-
-#: Approximate fast-mode serial wall seconds per experiment (from the PR 1
-#: BENCH report) — cost hints for experiments not yet decomposed, so the
-#: LPT dispatch order stays sensible even for whole-experiment units.
+#: Approximate fast-mode serial wall seconds of each experiment that
+#: :func:`decompose` still wraps whole — cost hints, so the LPT dispatch
+#: order stays sensible for ``__whole__`` units.
 WHOLE_EXPERIMENT_COST: Dict[str, float] = {
-    "fig2": 1.7, "fig3": 0.1, "fig4": 6.7, "fig10a": 0.4, "fig10b": 0.1,
-    "tab2": 0.2, "fig11": 9.3, "fig12": 5.6, "fig13": 2.0, "fig14": 14.9,
-    "tab3": 3.8, "fig15": 9.9, "tab4": 2.9, "fig16": 27.9, "fig17": 45.0,
-    "fig18": 21.1, "fig19": 29.6, "fig20": 7.6, "fig21": 4.4,
+    "fig3": 0.1, "fig10a": 0.4, "fig10b": 0.1, "tab2": 0.2, "fig12": 5.6,
+    "tab3": 3.8, "tab4": 2.9, "fig21": 4.4,
 }
 
 
-def set_default_jobs(jobs: Optional[int]) -> None:
-    """Set the process-wide default for ``run_scenarios(jobs=None)``.
-
-    The CLI calls this with ``--jobs`` so experiments fan their scenario
-    sweeps out without threading a parameter through every ``run()``.
-    """
-    global _default_jobs
-    _default_jobs = None if jobs is None else max(1, int(jobs))
-
-
 def default_jobs() -> int:
-    """Resolve the default worker count (explicit > $VSCHED_REPRO_JOBS > 1)."""
-    if _default_jobs is not None:
-        return _default_jobs
+    """The campaign's default ``--jobs``: ``$VSCHED_REPRO_JOBS``, else 1."""
     env = os.environ.get(JOBS_ENV_VAR)
     if env:
         try:
@@ -118,65 +104,6 @@ def default_jobs() -> int:
                   file=sys.stderr)
             return 1
     return 1
-
-
-def _in_pool_worker() -> bool:
-    """True when already inside a multiprocessing pool worker."""
-    return mp.current_process().daemon
-
-
-def _pool_context():
-    """Prefer fork (cheap, POSIX) and fall back to spawn."""
-    methods = mp.get_all_start_methods()
-    return mp.get_context("fork" if "fork" in methods else "spawn")
-
-
-def _execute_prefixed(func: Callable, config: tuple, prefix, fast: bool):
-    """Picklable wrapper running one prefixed unit via the snapshot store.
-
-    Module-level so :func:`run_scenarios` can ship prefixed units to pool
-    workers exactly like plain ones; each worker process warms its own
-    store on first use.
-    """
-    from repro.experiments.snapstore import execute_unit
-    return execute_unit(func, config, prefix, fast)
-
-
-def unit_body_config(units: Sequence["WorkUnit"], fast: bool
-                     ) -> Tuple[Callable, List[tuple]]:
-    """Normalize a same-``func`` run of units to a (func, configs) pair.
-
-    Units without a prefix pass through untouched (the exact PR 2 path);
-    prefixed units are rewritten to :func:`_execute_prefixed` calls so
-    every execution route — plain loop, pool, supervised campaign — goes
-    through the snapshot store with identical semantics.
-    """
-    first = units[0]
-    if first.prefix is None:
-        return first.func, [u.config for u in units]
-    return _execute_prefixed, [(u.func, u.config, u.prefix, fast)
-                               for u in units]
-
-
-def run_scenarios(func: Callable, configs: Sequence[tuple],
-                  jobs: Optional[int] = None) -> List:
-    """Run ``func(*config)`` for every config; return results in order.
-
-    ``func`` must be a module-level callable whose randomness comes only
-    from seeds encoded in the config (the determinism contract above).
-    ``jobs=None`` uses :func:`default_jobs`; ``jobs<=1``, a single config,
-    or being already inside a pool worker all run serially in-process —
-    the exact code path a plain loop would take.
-    """
-    configs = list(configs)
-    if jobs is None:
-        jobs = default_jobs()
-    jobs = min(max(1, jobs), len(configs)) if configs else 1
-    if jobs <= 1 or _in_pool_worker():
-        return [func(*cfg) for cfg in configs]
-    with _pool_context().Pool(processes=jobs) as pool:
-        # chunksize=1: scenarios are coarse (seconds each); favour balance.
-        return pool.starmap(func, configs, chunksize=1)
 
 
 # ----------------------------------------------------------------------
@@ -231,6 +158,15 @@ class _UnitState:
     cached: bool = False
     attempts: int = 0
     fate: str = ""
+
+    def land(self, out: UnitOutcome) -> None:
+        """Record the unit's terminal outcome."""
+        self.result, self.error, self.tb = out.result, out.error, out.tb
+        self.wall_s, self.events, self.elided = out.wall_s, out.events, \
+            out.elided
+        self.counters = out.counters or {}
+        self.attempts, self.fate = out.attempts, out.fate
+        self.done = True
 
 
 @dataclass(frozen=True)
@@ -420,7 +356,7 @@ def run_units(exp_ids: Sequence[str], fast: bool = False, check: bool = True,
     stats = SupervisorStats()
     _last_stats = stats
 
-    if jobs <= 1 or _in_pool_worker():
+    if jobs <= 1:
         yield from _run_units_serial(plans, fast, check, cache, keep_going,
                                      retry)
         return
@@ -436,12 +372,7 @@ def run_units(exp_ids: Sequence[str], fast: bool = False, check: bool = True,
     try:
         for pos, out in outcomes:
             st = pending[pos]
-            st.result, st.error, st.tb = out.result, out.error, out.tb
-            st.wall_s, st.events = out.wall_s, out.events
-            st.elided = out.elided
-            st.counters = out.counters or {}
-            st.attempts, st.fate = out.attempts, out.fate
-            st.done = True
+            st.land(out)
             if out.error is None and cache is not None and st.key is not None:
                 cache.store(st.key, out.result)
             while (next_yield < len(plans)
@@ -468,75 +399,37 @@ def _run_units_serial(plans, fast: bool, check: bool, cache,
 
     Deadlines and chaos need worker processes and do not apply here, but
     the bounded-retry contract does: a unit raising
-    :class:`TransientUnitError` is retried with the same deterministic
-    backoff as the pooled path.
+    :class:`~repro.experiments.units.TransientUnitError` is retried with
+    the same deterministic backoff as the pooled path.
     """
-    from repro.experiments.snapstore import execute_unit, snapshot_counters
-    from repro.experiments.supervisor import unit_tag
-    from repro.sim.engine import Engine
+    from repro.experiments.snapstore import execute_unit
     retry = retry or RetryPolicy()
     for exp_id, states, assemble in plans:
         for st in states:
             if st.done:
                 continue
-            fates: List[str] = []
+            unit = st.unit
+            history: List[str] = []
             while True:
-                events0 = Engine.total_events_fired
-                elided0 = Engine.total_events_elided
-                counters0 = Engine.counters()
-                snap0 = snapshot_counters()
-                started = time.perf_counter()
-                st.error = st.tb = None
-                retryable = False
-                try:
-                    st.result = execute_unit(st.unit.func, st.unit.config,
-                                             st.unit.prefix, fast)
-                except Exception as exc:  # noqa: BLE001 - same as pooled
-                    st.error = f"{type(exc).__name__}: {exc}"
-                    st.tb = traceback.format_exc()
-                    retryable = isinstance(exc, TransientUnitError)
-                st.wall_s = time.perf_counter() - started
-                st.events = Engine.total_events_fired - events0
-                st.elided = Engine.total_events_elided - elided0
-                st.counters = {k: v - counters0[k]
-                               for k, v in Engine.counters().items()
-                               if k not in ("fired", "elided")}
-                st.counters.update(
-                    {k: round(v - snap0[k], 3)
-                     for k, v in snapshot_counters().items()})
-                st.attempts += 1
-                if st.error is None:
-                    st.fate = "ok" if not fates else (
-                        "; ".join(fates) + f"; ok on attempt {st.attempts}")
+                out = measure_attempt(lambda: execute_unit(
+                    unit.func, unit.config, unit.prefix, fast))
+                out.attempts = len(history) + 1
+                if out.error is None:
+                    out.fate = unit_fate(history, "ok", out.attempts)
                     break
-                fates.append(f"attempt {st.attempts}: {st.error}")
-                if not retryable or st.attempts > retry.retries_for(st.unit):
-                    st.fate = "; ".join(fates) + (
-                        "; gave up" if retryable else " (not retryable)")
+                history.append(f"attempt {out.attempts}: {out.error}")
+                if not out.retryable \
+                        or out.attempts > retry.retries_for(unit):
+                    out.fate = unit_fate(
+                        history,
+                        "gave up" if out.retryable else "not retryable",
+                        out.attempts)
                     break
                 if _last_stats is not None:
                     _last_stats.retries += 1
-                time.sleep(retry.backoff_s(unit_tag(st.unit), st.attempts))
-            st.done = True
+                time.sleep(retry.backoff_s(unit_tag(unit), out.attempts))
+            st.land(out)
             if st.error is None and cache is not None and st.key is not None:
                 cache.store(st.key, st.result)
         yield _finish_experiment(exp_id, states, assemble, fast, check,
                                  keep_going)
-
-
-# ----------------------------------------------------------------------
-# Campaign-level compatibility wrapper
-# ----------------------------------------------------------------------
-def run_campaign(exp_ids: Sequence[str], fast: bool = False,
-                 check: bool = True, jobs: Optional[int] = None,
-                 cache=None, **kwargs) -> Iterator[CampaignResult]:
-    """Run experiments (optionally in parallel); yield ordered results.
-
-    Retained API from PR 1; now a thin wrapper over the supervised flat
-    scheduler, so a campaign parallelizes *inside* migrated experiments
-    instead of only across them.  Tables render byte-identically either
-    way.  ``kwargs`` pass through to :func:`run_units` (``keep_going``,
-    ``max_retries``, ``unit_timeout``, ``max_respawns``).
-    """
-    yield from run_units(exp_ids, fast=fast, check=check, jobs=jobs,
-                         cache=cache, **kwargs)

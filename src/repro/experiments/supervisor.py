@@ -53,7 +53,8 @@ import time
 import traceback
 from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.experiments.chaos import ChaosPlan
 from repro.experiments.units import TransientUnitError, WorkUnit
@@ -164,7 +165,7 @@ class SupervisorStats:
 
 @dataclass
 class UnitOutcome:
-    """Terminal state of one unit after supervision."""
+    """One measured attempt of a unit, and then its terminal state."""
 
     result: Any = None
     error: Optional[str] = None
@@ -173,15 +174,74 @@ class UnitOutcome:
     events: int = 0
     elided: int = 0
     #: Engine counter deltas over the unit (pushes/cancels/dead_drops —
-    #: see Engine.counters); None for units that never ran.
-    counters: Optional[Dict[str, int]] = None
+    #: see Engine.counters) plus the snapshot store's; None for units
+    #: that never ran.
+    counters: Optional[Dict[str, float]] = None
     attempts: int = 1
     fate: str = "ok"
+    #: The attempt raised :class:`TransientUnitError`.
+    retryable: bool = False
 
 
 def unit_tag(unit: WorkUnit) -> str:
     """Stable identity string seeding chaos and backoff for one unit."""
     return f"{unit.exp_id}/{unit.label}|{unit.seed}"
+
+
+def unit_fate(history: Sequence[str], ending: str, attempts: int) -> str:
+    """The fate trail of a unit: its failed attempts, then how it ended.
+
+    ``history`` holds one ``"attempt N: <error>"`` entry per failed
+    attempt; ``ending`` is ``"ok"``, ``"gave up"`` or ``"not
+    retryable"``.  CI greps these strings.
+    """
+    trail = "; ".join(history)
+    if ending == "ok":
+        return f"{trail}; ok on attempt {attempts}" if history else "ok"
+    if ending == "not retryable":
+        return f"{trail} (not retryable)"
+    return f"{trail}; gave up"
+
+
+def measure_attempt(body: Callable[[], Any],
+                    catch: type = Exception) -> UnitOutcome:
+    """Run one attempt of a unit body in this process and measure it.
+
+    Times ``body()`` and takes the deltas of the engine's and the
+    snapshot store's process-wide counters around it.  An exception of
+    type ``catch`` becomes the outcome's error and traceback; anything
+    else propagates.  The in-process scheduler and every pool worker
+    measure through here.
+    """
+    from repro.experiments.snapstore import snapshot_counters
+    from repro.sim.engine import Engine
+    events0 = Engine.total_events_fired
+    elided0 = Engine.total_events_elided
+    counters0 = Engine.counters()
+    snap0 = snapshot_counters()
+    started = time.perf_counter()
+    out = UnitOutcome()
+    try:
+        out.result = body()
+    except catch as exc:  # noqa: BLE001 - reported, not raised
+        out.error = f"{type(exc).__name__}: {exc}"
+        out.tb = traceback.format_exc()
+        out.retryable = isinstance(exc, TransientUnitError)
+    out.wall_s = time.perf_counter() - started
+    out.events = Engine.total_events_fired - events0
+    out.elided = Engine.total_events_elided - elided0
+    out.counters = {k: v - counters0[k]
+                    for k, v in Engine.counters().items()
+                    if k not in ("fired", "elided")}
+    out.counters.update({k: round(v - snap0[k], 3)
+                         for k, v in snapshot_counters().items()})
+    return out
+
+
+def _pool_context():
+    """Prefer fork (cheap, POSIX) and fall back to spawn."""
+    methods = mp.get_all_start_methods()
+    return mp.get_context("fork" if "fork" in methods else "spawn")
 
 
 # ----------------------------------------------------------------------
@@ -191,24 +251,23 @@ def _worker_main(worker_id: int, task_r, result_w,
                  chaos: Optional[ChaosPlan], fast: bool = False) -> None:
     """Worker loop: serve one unit per parent assignment until None/EOF.
 
-    Pins the in-worker jobs default to 1 (inherited module state could
-    otherwise make a legacy ``run_scenarios`` call inside a unit open a
-    nested pool).  Chaos, when configured, is injected before the unit
-    body runs, seeded on ``(tag, attempt)``.  Both pipes are private to
-    this worker: the parent is the only writer of ``task_r`` and the only
-    reader of ``result_w``, so neither needs a lock.
+    Each unit is measured by :func:`measure_attempt`, exactly as in the
+    in-process scheduler.  The worker adds only chaos injection, seeded
+    on ``(tag, attempt)`` before the unit body, and a pickle check of the
+    result, so an unpicklable value fails with a real traceback.  Every
+    exception is reported to the parent, which owns retries.  Both pipes
+    are private to this worker: the parent is the only writer of
+    ``task_r`` and the only reader of ``result_w``, so neither needs a
+    lock.
 
     Units carrying a snapshot prefix run through this worker's own
     in-process :class:`~repro.experiments.snapstore.SnapshotStore` — the
     first such unit builds and freezes the prefix world, later ones fork
-    it.  The store's counter deltas ride back inside the engine-counter
-    dict so the parent can aggregate hit/miss/saved-seconds per
+    it.  The store's counter deltas ride back inside the outcome's
+    counters so the parent can aggregate hit/miss/saved-seconds per
     experiment.
     """
-    from repro.experiments.parallel import set_default_jobs
-    set_default_jobs(1)
-    from repro.experiments.snapstore import execute_unit, snapshot_counters
-    from repro.sim.engine import Engine
+    from repro.experiments.snapstore import execute_unit
     while True:
         try:
             item = task_r.recv()
@@ -217,35 +276,17 @@ def _worker_main(worker_id: int, task_r, result_w,
         if item is None:
             break
         idx, attempt, tag, func, config, prefix = item
-        events0 = Engine.total_events_fired
-        elided0 = Engine.total_events_elided
-        counters0 = Engine.counters()
-        snap0 = snapshot_counters()
-        started = time.perf_counter()
-        result: Any = None
-        error = tb = None
-        retryable = False
-        try:
+
+        def body():
             if chaos is not None:
                 chaos.maybe_inject(tag, attempt)
             result = execute_unit(func, config, prefix, fast)
-            pickle.dumps(result)  # unpicklable? fail with a real traceback
-        except BaseException as exc:  # noqa: BLE001 - reported to the parent
-            result = None
-            error = f"{type(exc).__name__}: {exc}"
-            tb = traceback.format_exc()
-            retryable = isinstance(exc, TransientUnitError)
-        counters = {k: v - counters0[k]
-                    for k, v in Engine.counters().items()
-                    if k not in ("fired", "elided")}
-        counters.update({k: round(v - snap0[k], 3)
-                         for k, v in snapshot_counters().items()})
+            pickle.dumps(result)
+            return result
+
+        out = measure_attempt(body, catch=BaseException)
         try:
-            result_w.send((worker_id, idx, attempt, result, error, tb,
-                           retryable, time.perf_counter() - started,
-                           Engine.total_events_fired - events0,
-                           Engine.total_events_elided - elided0,
-                           counters))
+            result_w.send((worker_id, idx, out))
         except (BrokenPipeError, OSError):
             break  # parent is gone; nothing left to report to
 
@@ -287,7 +328,6 @@ def supervise(units: Sequence[WorkUnit], jobs: int, *, fast: bool = False,
     and the respawn budget is finite.  On Ctrl-C the pool is torn down and
     :class:`CampaignInterrupted` raised.
     """
-    from repro.experiments.parallel import _pool_context
     retry = retry or RetryPolicy()
     deadline = deadline or DeadlinePolicy.from_env()
     stats = stats if stats is not None else SupervisorStats()
@@ -337,7 +377,8 @@ def supervise(units: Sequence[WorkUnit], jobs: int, *, fast: bool = False,
             return None
         done[idx] = True
         return UnitOutcome(error=reason, attempts=attempts_made[idx],
-                           fate="; ".join(history[idx]) + "; gave up")
+                           fate=unit_fate(history[idx], "gave up",
+                                          attempts_made[idx]))
 
     try:
         while resolved < n:
@@ -388,43 +429,32 @@ def supervise(units: Sequence[WorkUnit], jobs: int, *, fast: bool = False,
                     # pipe is affected; the liveness sweep reclaims its
                     # unit and the pipe is closed with the corpse.
                     pass
-            for msg in msgs:
-                wid, idx, attempt, result, error, tb, retryable, wall, \
-                    events, elided, counters = msg
+            for wid, idx, out in msgs:
                 w = workers.get(wid)
                 if w is not None and w.current is not None \
                         and w.current[0] == idx:
                     w.current = None
-                if not done[idx]:
-                    if error is None:
-                        done[idx] = True
+                if done[idx]:
+                    continue
+                if out.retryable:
+                    settled = settle(idx, out.error)
+                    if settled is not None:
+                        settled.tb = out.tb
                         resolved += 1
-                        attempts_made[idx] += 1
-                        fate = "ok" if not history[idx] else (
-                            "; ".join(history[idx])
-                            + f"; ok on attempt {attempts_made[idx]}")
-                        yield idx, UnitOutcome(
-                            result=result, wall_s=wall, events=events,
-                            elided=elided, counters=counters,
-                            attempts=attempts_made[idx], fate=fate)
-                    elif retryable:
-                        out = settle(idx, error)
-                        if out is not None:
-                            out.tb = tb
-                            resolved += 1
-                            yield idx, out
-                    else:
-                        done[idx] = True
-                        resolved += 1
-                        attempts_made[idx] += 1
-                        history[idx].append(
-                            f"attempt {attempts_made[idx]}: {error}")
-                        yield idx, UnitOutcome(
-                            error=error, tb=tb, wall_s=wall, events=events,
-                            elided=elided, counters=counters,
-                            attempts=attempts_made[idx],
-                            fate="; ".join(history[idx])
-                                 + " (not retryable)")
+                        yield idx, settled
+                    continue
+                done[idx] = True
+                resolved += 1
+                attempts_made[idx] += 1
+                out.attempts = attempts_made[idx]
+                if out.error is None:
+                    out.fate = unit_fate(history[idx], "ok", out.attempts)
+                else:
+                    history[idx].append(
+                        f"attempt {out.attempts}: {out.error}")
+                    out.fate = unit_fate(history[idx], "not retryable",
+                                         out.attempts)
+                yield idx, out
 
             now = time.monotonic()
             # Deadline sweep: kill workers whose unit overran its budget.

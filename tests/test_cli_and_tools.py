@@ -1,8 +1,11 @@
 """CLI and tooling smoke tests (fast paths only)."""
 
+import importlib.util
+import json
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -126,3 +129,46 @@ def test_cli_retry_flags_are_plumbed(monkeypatch, capsys):
     assert seen["max_retries"] == 4
     assert seen["unit_timeout"] == 90.0
     assert seen["keep_going"] is False
+
+
+# ----------------------------------------------------------------------
+# tools/: abdiff and bench count every unit's events in-process
+# ----------------------------------------------------------------------
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_abdiff_counts_events_under_jobs_env(monkeypatch):
+    monkeypatch.setenv(parallel.JOBS_ENV_VAR, "2")
+    # run_once sets both knobs; monkeypatch restores them afterwards.
+    monkeypatch.setenv("VSCHED_REPRO_TICKLESS", "1")
+    monkeypatch.setenv("VSCHED_REPRO_SNAPSHOT", "1")
+    _blob, fired, _elided = _load_tool("abdiff").run_once("fig2", True, True)
+    assert fired > 0
+
+
+def test_bench_profile_sees_the_simulation_under_jobs_env(monkeypatch,
+                                                          capsys):
+    monkeypatch.setenv(parallel.JOBS_ENV_VAR, "2")
+    assert _load_tool("bench").profile_experiment("fig2", True) == 0
+    assert "GuestCpu._tick" in capsys.readouterr().out
+
+
+def test_bench_report_counts_events_then_serves_from_cache(tmp_path):
+    bench = _load_tool("bench")
+    cache_dir, out = str(tmp_path / "cache"), tmp_path / "bench.json"
+    argv = ["--fast", "--experiments", "fig3", "--cache", "--cache-dir",
+            cache_dir, "--out", str(out)]
+    assert bench.main(argv) == 0
+    cold = json.loads(out.read_text())
+    assert cold["total_events_fired"] > 0
+    assert cold["experiments"][0]["events_fired"] > 0
+    assert bench.main(argv) == 0
+    warm = json.loads(out.read_text())
+    assert warm["cache"]["misses"] == 0 and warm["cache"]["hits"] > 0

@@ -22,12 +22,10 @@ def perf_guard():
     spec = importlib.util.spec_from_file_location("perf_guard", TOOL)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    yield mod
-    parallel.set_default_jobs(None)
+    return mod
 
 
 def test_measure_counts_events_under_jobs_env(perf_guard, monkeypatch):
     monkeypatch.setenv(parallel.JOBS_ENV_VAR, "2")
-    parallel.set_default_jobs(None)
     assert parallel.default_jobs() == 2
     assert perf_guard.measure("fig2")["events_fired"] > 0

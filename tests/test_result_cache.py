@@ -229,6 +229,15 @@ class TestDecompose:
         sentinel = Table("fig12", "t", ["a"])
         assert assemble(True, [sentinel]) is sentinel
 
+    def test_whole_cost_hints_cover_exactly_the_whole_units(self):
+        # A migration must drop its experiment's whole-unit cost hint.
+        whole = set()
+        for exp_id in EXPERIMENTS:
+            units, _assemble = parallel.decompose(exp_id, True)
+            if [u.label for u in units] == ["__whole__"]:
+                whole.add(exp_id)
+        assert set(parallel.WHOLE_EXPERIMENT_COST) == whole
+
     def test_migrated_experiments_decompose(self):
         for exp_id, n_min in (("fig2", 24), ("fig4", 18), ("fig11", 4),
                               ("fig13", 6), ("fig14", 20), ("fig15", 24),
@@ -248,13 +257,11 @@ class TestDecompose:
 class TestDefaultJobsEnv:
     def test_malformed_env_warns_and_falls_back(self, monkeypatch, capsys):
         monkeypatch.setenv(parallel.JOBS_ENV_VAR, "many")
-        parallel.set_default_jobs(None)
         assert parallel.default_jobs() == 1
         err = capsys.readouterr().err
         assert "malformed" in err and "many" in err
 
     def test_valid_env_still_parses(self, monkeypatch, capsys):
         monkeypatch.setenv(parallel.JOBS_ENV_VAR, "3")
-        parallel.set_default_jobs(None)
         assert parallel.default_jobs() == 3
         assert capsys.readouterr().err == ""

@@ -1,23 +1,24 @@
 #!/usr/bin/env python3
 """Benchmark the experiment catalogue: wall-clock, events fired, events/sec.
 
-Runs each experiment (fast mode recommended) and writes a JSON report,
+Runs the experiments (fast mode recommended) as one campaign through the
+flat work-unit scheduler (``parallel.run_units``) and writes a JSON report,
 ``BENCH_<YYYYMMDD>.json`` by default, so engine-hot-path changes can be
-compared run over run.  Experiments that expose the work-unit protocol are
-timed per scenario, so the report shows where the seconds go inside the
-heavy experiments; with ``--cache`` the report also counts unit cache
-hits/misses (a warm rerun of an unchanged tree is all hits).
+compared run over run.  Every unit is timed where it runs, so the report
+shows where the seconds go inside the heavy experiments; with ``--cache``
+the report also counts unit cache hits/misses (a warm rerun of an
+unchanged tree is all hits).
 
 Each row (and the report header) also carries a ``snapshot`` block — the
 warm-start store's hit/miss/fork/cold-build counts and the prefix seconds
 saved by forking frozen worlds instead of replaying warm-ups
 (``docs/INTERNALS.md`` §15).
 
-With ``--jobs N`` (N > 1) the catalogue runs as one supervised campaign
-through the flat scheduler: per-scenario wall/events come from the worker
-measurements, scenario rows carry their retry ``attempts``, and the
-report's ``supervisor`` block records retry/requeue/timeout/kill/respawn
-counts — under ``$VSCHED_REPRO_CHAOS`` that is the fault-recovery bill.
+``--jobs N`` runs the units over N supervised workers (the default, one
+job, runs them in-process).  Scenario rows carry their retry
+``attempts``, and the report's ``supervisor`` block records
+retry/requeue/timeout/kill/respawn counts — under ``$VSCHED_REPRO_CHAOS``
+(pooled runs only) that is the fault-recovery bill.
 
 Every experiment row records the engine counter deltas
 (pushes/cancels/dead_drops) next to its fired/elided counts.
@@ -39,7 +40,6 @@ import json
 import os
 import platform
 import sys
-import time
 
 if __package__ is None or __package__ == "":
     # Allow running without PYTHONPATH=src from the repo root.
@@ -49,31 +49,15 @@ if __package__ is None or __package__ == "":
         sys.path.insert(0, _src)
 
 from repro.experiments import parallel
-from repro.experiments.cache import ResultCache, code_fingerprint, unit_key
+from repro.experiments.cache import ResultCache
 from repro.experiments.cli import ALL_ORDER
-from repro.experiments.common import check_experiment, run_experiment
-from repro.experiments.snapstore import execute_unit, snapshot_counters
+from repro.experiments.common import run_experiment
 from repro.experiments.supervisor import SupervisorStats
 from repro.sim.engine import Engine, snapshot_default
 
 #: Counter keys copied into per-scenario/per-experiment "engine" dicts
 #: (fired/elided are already first-class report fields).
 _COUNTER_KEYS = ("pushes", "cancels", "dead_drops")
-
-#: Snapshot-store keys (deltas ride the same counters channel as the
-#: engine's; see repro.experiments.snapstore.snapshot_counters).
-_SNAP_KEYS = ("snap_hits", "snap_misses", "snap_forks", "snap_cold_builds",
-              "snap_saved_s")
-
-
-def _counter_delta(before):
-    after = Engine.counters()
-    return {k: after[k] - before[k] for k in _COUNTER_KEYS}
-
-
-def _snap_delta(before):
-    after = snapshot_counters()
-    return {k: round(after[k] - before[k], 3) for k in _SNAP_KEYS}
 
 
 def _snap_block(source: dict) -> dict:
@@ -86,80 +70,12 @@ def _snap_block(source: dict) -> dict:
                                     3)}
 
 
-def bench_one(exp_id: str, fast: bool, check: bool, cache=None,
-              fingerprint=None) -> dict:
-    """Time one experiment unit-by-unit; returns the report row."""
-    events0 = Engine.total_events_fired
-    elided0 = Engine.total_events_elided
-    counters0 = Engine.counters()
-    snap_before = snapshot_counters()
-    started = time.perf_counter()
-    error = None
-    scenarios = []
-    hits = misses = 0
-    try:
-        units, assemble = parallel.decompose(exp_id, fast)
-        results = []
-        for unit in units:
-            key = unit_key(unit, fast, fingerprint=fingerprint) \
-                if cache is not None else None
-            cached = False
-            if key is not None:
-                cached, value = cache.lookup(key)
-            u_started = time.perf_counter()
-            u_events0 = Engine.total_events_fired
-            u_elided0 = Engine.total_events_elided
-            u_counters0 = Engine.counters()
-            u_snap0 = snapshot_counters()
-            if cached:
-                result = value
-                hits += 1
-            else:
-                result = execute_unit(unit.func, unit.config, unit.prefix,
-                                      fast)
-                if key is not None:
-                    cache.store(key, result)
-                    misses += 1
-            results.append(result)
-            scenarios.append({
-                "label": unit.label,
-                "wall_s": round(time.perf_counter() - u_started, 3),
-                "events_fired": Engine.total_events_fired - u_events0,
-                "events_elided": Engine.total_events_elided - u_elided0,
-                "engine": _counter_delta(u_counters0),
-                "snapshot": _snap_block(_snap_delta(u_snap0)),
-                "cached": cached,
-            })
-        table = assemble(fast, results)
-        if check:
-            check_experiment(exp_id, table)
-    except Exception as exc:  # noqa: BLE001 - report, don't crash the sweep
-        error = f"{type(exc).__name__}: {exc}"
-    wall = time.perf_counter() - started
-    events = Engine.total_events_fired - events0
-    elided = Engine.total_events_elided - elided0
-    row = {
-        "exp_id": exp_id,
-        "wall_s": round(wall, 3),
-        "events_fired": events,
-        "events_elided": elided,
-        "events_per_sec": round(events / wall) if wall > 0 else 0,
-        "engine": _counter_delta(counters0),
-        "snapshot": _snap_block(_snap_delta(snap_before)),
-        "scenarios": scenarios,
-        "error": error,
-    }
-    if cache is not None:
-        row["cache"] = {"hits": hits, "misses": misses}
-    return row
-
-
 def bench_campaign(ids, fast: bool, check: bool, jobs: int,
                    cache=None) -> list:
-    """Time the ids as one supervised campaign; returns report rows.
+    """Time the ids as one campaign; returns one report row per id.
 
-    Wall/events per scenario are the worker-side measurements streamed
-    back through the supervisor; a unit that retried reports the wall of
+    Wall/events per scenario are measured where the unit ran, in-process
+    at one job or in a worker; a unit that retried reports the wall of
     its successful attempt and ``attempts > 1``.
     """
     rows = []
@@ -221,9 +137,8 @@ def main(argv=None) -> int:
                         help="comma-separated experiment ids "
                              "(default: the full catalogue)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="N>1 times the ids as one supervised campaign "
-                             "over N workers (adds supervisor fault "
-                             "counters to the report)")
+                        help="worker processes for the campaign (default 1: "
+                             "in-process)")
     parser.add_argument("--out", default=None,
                         help="output path (default BENCH_<YYYYMMDD>.json)")
     parser.add_argument("--check", action="store_true",
@@ -242,17 +157,9 @@ def main(argv=None) -> int:
 
     ids = (args.experiments.split(",") if args.experiments else ALL_ORDER)
     ids = [i.strip() for i in ids if i.strip()]
-    parallel.set_default_jobs(args.jobs)
     cache = ResultCache(args.cache_dir) if args.cache else None
-    fingerprint = code_fingerprint() if args.cache else None
-
-    if args.jobs > 1:
-        primary = bench_campaign(ids, fast=args.fast, check=args.check,
-                                 jobs=args.jobs, cache=cache)
-    else:
-        primary = [bench_one(exp_id, fast=args.fast, check=args.check,
-                             cache=cache, fingerprint=fingerprint)
-                   for exp_id in ids]
+    primary = bench_campaign(ids, fast=args.fast, check=args.check,
+                             jobs=args.jobs, cache=cache)
     for res in primary:
         status = res["error"] or "ok"
         cache_note = ""

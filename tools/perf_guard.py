@@ -16,10 +16,6 @@ sharing itself (a regression here means units stopped forking and went
 back to rebuilding), and ``fork < cold`` is asserted outright since the
 whole point of forking is to not re-fire shared-prefix events.
 
-Every measurement runs at one job, whatever ``$VSCHED_REPRO_JOBS`` says:
-pooled units fire their events in worker processes, where this process's
-``Engine`` totals never see them.
-
 Usage::
 
     PYTHONPATH=src python tools/perf_guard.py          # check (CI)
@@ -40,7 +36,6 @@ if __package__ is None or __package__ == "":
     if _src not in sys.path:
         sys.path.insert(0, _src)
 
-from repro.experiments import parallel
 from repro.experiments.common import run_experiment
 from repro.sim.engine import Engine
 
@@ -58,7 +53,6 @@ SNAP_MODES = ("fork", "cold")
 
 
 def measure(exp_id: str, snapshot: bool = True) -> dict:
-    parallel.set_default_jobs(1)  # count every unit's events in-process
     saved_snap = os.environ.get("VSCHED_REPRO_SNAPSHOT")
     os.environ["VSCHED_REPRO_SNAPSHOT"] = "1" if snapshot else "0"
     try:

@@ -336,8 +336,6 @@ PROCESS_STATE_BLESSED = {
                              "the tree cannot change mid-run",
     },
     "repro.experiments.parallel": {
-        "_default_jobs": "parent-process orchestration knob (worker "
-                         "count); never read inside a unit body",
         "_last_stats": "parent-process bench telemetry, written after "
                        "units complete; never read inside a unit body",
     },
