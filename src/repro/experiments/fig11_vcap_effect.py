@@ -143,7 +143,7 @@ def assemble(fast: bool, results: List[Tuple]) -> Table:
 
 
 def run(fast: bool = False) -> Table:
-    return assemble(fast, execute_serial(scenarios(fast), fast))
+    return assemble(fast, execute_serial(scenarios(fast)))
 
 
 def check(table: Table) -> None:

@@ -122,7 +122,7 @@ def assemble(fast: bool, results: List[dict]) -> Table:
 
 
 def run(fast: bool = False) -> Table:
-    return assemble(fast, execute_serial(scenarios(fast), fast))
+    return assemble(fast, execute_serial(scenarios(fast)))
 
 
 def check(table: Table) -> None:

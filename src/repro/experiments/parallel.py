@@ -402,7 +402,6 @@ def _run_units_serial(plans, fast: bool, check: bool, cache,
     :class:`~repro.experiments.units.TransientUnitError` is retried with
     the same deterministic backoff as the pooled path.
     """
-    from repro.experiments.snapstore import execute_unit
     retry = retry or RetryPolicy()
     for exp_id, states, assemble in plans:
         for st in states:
@@ -411,8 +410,7 @@ def _run_units_serial(plans, fast: bool, check: bool, cache,
             unit = st.unit
             history: List[str] = []
             while True:
-                out = measure_attempt(lambda: execute_unit(
-                    unit.func, unit.config, unit.prefix, fast))
+                out = measure_attempt(lambda: unit.func(*unit.config))
                 out.attempts = len(history) + 1
                 if out.error is None:
                     out.fate = unit_fate(history, "ok", out.attempts)

@@ -1,209 +1,34 @@
-"""Warm-start snapshot store: build a scenario prefix once, fork many.
+"""The three names the repository benchmark (``perfbench/run.py``) imports.
 
-Some sweep scenarios share an expensive setup: build the VM, attach the
-scheduler, run the warmup until the probers converge — and only then
-diverge (start a different benchmark, flip a feature).  A
-:class:`PrefixSpec` names that shared prefix declaratively; the first unit
-in a process that needs it builds the world cold, runs it to the
-divergence point, and freezes it as a
-:class:`~repro.sim.snapshot.WorldSnapshot`.  Every later unit with the
-same prefix forks the frozen image instead of rebuilding — byte-identical
-results (``tools/abdiff.py --snapshot-modes`` proves it).
-
-Only fig14 declares prefixes: its two 6 s warm-ups serve 20 units, and
-forking them fires 554,985 events in fast mode against 1,686,285 cold.
-Experiments whose units share no simulated time (fig11, figA1) or run
-one timeline per unit (fig16) build their worlds directly
-(docs/INTERNALS.md §15).
-
-Keying follows the unit result cache
-(:mod:`repro.experiments.cache`): a prefix snapshot is addressed by
-``SHA-256(code fingerprint | prefix (key, config, seed) | fast |
-tickless)``, so any source change invalidates every stored prefix,
-exactly like unit results.  The store itself is **in-process** (snapshots
-hold live object graphs; they are never pickled to disk) — each campaign
-worker process grows its own store.
-
-``$VSCHED_REPRO_SNAPSHOT=0`` disables forking: every unit then rebuilds
-its prefix cold through the *same* builder function, which is the A/B
-baseline for the identity contract.
+No experiment needs a generic snapshot store: fig14, the one experiment
+that forks a warm world, freezes and forks it inside its own work units
+(:func:`repro.experiments.fig14_bvs._side_p95s`, docs/INTERNALS.md §15).
+These names keep the benchmark's signatures; nothing in ``src`` or
+``tools`` calls them.
 """
 
 from __future__ import annotations
 
-import hashlib
-import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.sim.engine import elision_default, snapshot_default
-from repro.sim.snapshot import WorldSnapshot
-
-__all__ = ["PrefixSpec", "SnapshotStore", "execute_unit", "process_store",
-           "reset_process_store", "prefix_parts", "prefix_store_key",
-           "snapshot_counters", "build_cold"]
+__all__ = ["execute_unit", "reset_process_store", "snapshot_counters"]
 
 
-@dataclass(frozen=True)
-class PrefixSpec:
-    """Declarative description of a shared scenario prefix.
+def execute_unit(func: Callable, config: Tuple, prefix: Optional[object],
+                 fast: bool) -> Any:
+    """Run one work-unit body: ``func(*config)``.
 
-    ``func`` must be module-level (picklable by reference).  It is called
-    as ``func(*config)`` and must return the world's *roots*: a dict of
-    top-level handles containing at least ``"engine"`` (everything a
-    diverging unit needs to keep driving the world — env, scheduler,
-    workload context...).
-
-    ``config`` must be plain data — it feeds the store key via ``repr``,
-    exactly like a work unit's config feeds the result-cache key.
-    ``seed`` records the prefix's RNG seed string by the same convention.
+    ``prefix`` is always ``WorkUnit.prefix``, i.e. None, and ``fast`` is
+    unused; both stay for the benchmark's call signature.
     """
-
-    key: str
-    func: Callable
-    config: Tuple = ()
-    seed: str = ""
-
-
-def prefix_parts(prefix: PrefixSpec) -> List[str]:
-    """Key material naming a prefix: its key, config and seed."""
-    return [prefix.key, repr(prefix.config), prefix.seed]
-
-
-def prefix_store_key(prefix: PrefixSpec, fast: bool,
-                     fingerprint: Optional[str] = None) -> str:
-    """Content address of one prefix's frozen world.
-
-    Besides the prefix and the fast/full mode, the key names the engine's
-    process-wide tickless-elision knob: a frozen world bakes it in at
-    construction, so an in-process toggle — the A/B tests flip the env var
-    mid-run — must miss rather than fork a world built under the other
-    mode.
-    """
-    from repro.experiments.cache import code_fingerprint
-    h = hashlib.sha256()
-    parts = [fingerprint if fingerprint is not None else code_fingerprint()]
-    parts += prefix_parts(prefix)
-    parts.append("fast" if fast else "full")
-    parts.append(f"tickless={int(elision_default())}")
-    for part in parts:
-        h.update(part.encode())
-        h.update(b"\0")
-    return h.hexdigest()
-
-
-def build_cold(prefix: PrefixSpec) -> Dict[str, Any]:
-    """Build a prefix world with no snapshotting at all.
-
-    The disabled-mode path and the miss path run the same builder
-    function; the only difference is whether the result is frozen
-    afterwards.
-    """
-    roots = prefix.func(*prefix.config)
-    if "engine" not in roots:
-        raise KeyError(
-            f"prefix {prefix.key!r}: builder returned roots without an "
-            f"'engine' entry")
-    return roots
-
-
-class SnapshotStore:
-    """In-process map from prefix key to frozen world, with accounting.
-
-    ``saved_seconds`` estimates the prefix wall time forking avoided: on
-    every hit it credits the measured build cost of that prefix (what a
-    cold rebuild would have spent).  Fork cost itself is not subtracted —
-    it shows up in the unit's own wall time, keeping the two numbers
-    independently meaningful in the BENCH report.
-    """
-
-    def __init__(self) -> None:
-        self._snaps: Dict[str, WorldSnapshot] = {}
-        self._build_cost: Dict[str, float] = {}
-        self.hits = 0
-        self.misses = 0
-        self.forks = 0
-        self.cold_builds = 0
-        self.build_seconds = 0.0
-        self.saved_seconds = 0.0
-
-    def acquire(self, prefix: PrefixSpec, fast: bool,
-                fingerprint: Optional[str] = None) -> WorldSnapshot:
-        """Return the frozen world for ``prefix``, building it on miss."""
-        key = prefix_store_key(prefix, fast, fingerprint)
-        snap = self._snaps.get(key)
-        if snap is not None:
-            self.hits += 1
-            self.saved_seconds += self._build_cost[key]
-            return snap
-        self.misses += 1
-        started = time.perf_counter()
-        roots = build_cold(prefix)
-        snap = WorldSnapshot(roots["engine"], roots)
-        cost = time.perf_counter() - started
-        self._snaps[key] = snap
-        self._build_cost[key] = cost
-        self.build_seconds += cost
-        return snap
-
-    def fork(self, prefix: PrefixSpec, fast: bool,
-             fingerprint: Optional[str] = None) -> Dict[str, Any]:
-        """Fork the prefix's world; returns the forked roots dict."""
-        snap = self.acquire(prefix, fast, fingerprint)
-        _engine, roots = snap.fork()
-        self.forks += 1
-        return roots
-
-
-#: The per-process store (grown lazily; workers each own one).
-_process_store: Optional[SnapshotStore] = None
-
-
-def process_store() -> SnapshotStore:
-    global _process_store
-    if _process_store is None:
-        _process_store = SnapshotStore()
-    return _process_store
+    return func(*config)
 
 
 def reset_process_store() -> None:
-    """Drop every frozen world (tests; long-lived REPL sessions)."""
-    global _process_store
-    _process_store = None
+    """No-op: there is no per-process store to drop."""
 
 
 def snapshot_counters() -> Dict[str, float]:
-    """Cumulative per-process snapshot accounting, for unit stat deltas.
-
-    Reported through the same channel as the engine counter deltas, so
-    pooled workers ship them back inside each unit outcome and
-    ``tools/bench.py`` can sum hit/miss/saved-seconds per experiment.
-    """
-    s = _process_store
-    if s is None:
-        return {"snap_hits": 0, "snap_misses": 0, "snap_forks": 0,
-                "snap_cold_builds": 0, "snap_saved_s": 0.0}
-    return {"snap_hits": s.hits, "snap_misses": s.misses,
-            "snap_forks": s.forks, "snap_cold_builds": s.cold_builds,
-            "snap_saved_s": round(s.saved_seconds, 3)}
-
-
-def execute_unit(func: Callable, config: Tuple,
-                 prefix: Optional[PrefixSpec], fast: bool) -> Any:
-    """Run one work-unit body, warm-starting from its prefix if it has one.
-
-    With a prefix and snapshots enabled, the unit function is called as
-    ``func(roots, *config)`` on a private fork of the frozen prefix
-    world.  With snapshots disabled the prefix is rebuilt cold —
-    through the identical builder code — before the same call.  Without a
-    prefix this is exactly ``func(*config)``.
-    """
-    if prefix is None:
-        return func(*config)
-    store = process_store()
-    if snapshot_default():
-        roots = store.fork(prefix, fast)
-    else:
-        store.cold_builds += 1
-        roots = build_cold(prefix)
-    return func(roots, *config)
+    """The benchmark's ``snap_*`` keys, all zero: no store keeps count."""
+    return {"snap_hits": 0, "snap_misses": 0, "snap_forks": 0,
+            "snap_saved_s": 0.0}

@@ -174,8 +174,7 @@ class UnitOutcome:
     events: int = 0
     elided: int = 0
     #: Engine counter deltas over the unit (pushes/cancels/dead_drops —
-    #: see Engine.counters) plus the snapshot store's; None for units
-    #: that never ran.
+    #: see Engine.counters); None for units that never ran.
     counters: Optional[Dict[str, float]] = None
     attempts: int = 1
     fate: str = "ok"
@@ -207,18 +206,15 @@ def measure_attempt(body: Callable[[], Any],
                     catch: type = Exception) -> UnitOutcome:
     """Run one attempt of a unit body in this process and measure it.
 
-    Times ``body()`` and takes the deltas of the engine's and the
-    snapshot store's process-wide counters around it.  An exception of
-    type ``catch`` becomes the outcome's error and traceback; anything
-    else propagates.  The in-process scheduler and every pool worker
-    measure through here.
+    Times ``body()`` and takes the deltas of the engine's process-wide
+    counters around it.  An exception of type ``catch`` becomes the
+    outcome's error and traceback; anything else propagates.  The
+    in-process scheduler and every pool worker measure through here.
     """
-    from repro.experiments.snapstore import snapshot_counters
     from repro.sim.engine import Engine
     events0 = Engine.total_events_fired
     elided0 = Engine.total_events_elided
     counters0 = Engine.counters()
-    snap0 = snapshot_counters()
     started = time.perf_counter()
     out = UnitOutcome()
     try:
@@ -233,8 +229,6 @@ def measure_attempt(body: Callable[[], Any],
     out.counters = {k: v - counters0[k]
                     for k, v in Engine.counters().items()
                     if k not in ("fired", "elided")}
-    out.counters.update({k: round(v - snap0[k], 3)
-                         for k, v in snapshot_counters().items()})
     return out
 
 
@@ -248,7 +242,7 @@ def _pool_context():
 # Worker side
 # ----------------------------------------------------------------------
 def _worker_main(worker_id: int, task_r, result_w,
-                 chaos: Optional[ChaosPlan], fast: bool = False) -> None:
+                 chaos: Optional[ChaosPlan]) -> None:
     """Worker loop: serve one unit per parent assignment until None/EOF.
 
     Each unit is measured by :func:`measure_attempt`, exactly as in the
@@ -258,16 +252,9 @@ def _worker_main(worker_id: int, task_r, result_w,
     exception is reported to the parent, which owns retries.  Both pipes
     are private to this worker: the parent is the only writer of
     ``task_r`` and the only reader of ``result_w``, so neither needs a
-    lock.
-
-    Units carrying a snapshot prefix run through this worker's own
-    in-process :class:`~repro.experiments.snapstore.SnapshotStore` — the
-    first such unit builds and freezes the prefix world, later ones fork
-    it.  The store's counter deltas ride back inside the outcome's
-    counters so the parent can aggregate hit/miss/saved-seconds per
-    experiment.
+    lock.  A unit body is ``func(*config)``; nothing but its result and
+    the measured outcome outlives it in the worker.
     """
-    from repro.experiments.snapstore import execute_unit
     while True:
         try:
             item = task_r.recv()
@@ -275,12 +262,12 @@ def _worker_main(worker_id: int, task_r, result_w,
             break  # parent closed its end (teardown) or died
         if item is None:
             break
-        idx, attempt, tag, func, config, prefix = item
+        idx, attempt, tag, func, config = item
 
         def body():
             if chaos is not None:
                 chaos.maybe_inject(tag, attempt)
-            result = execute_unit(func, config, prefix, fast)
+            result = func(*config)
             pickle.dumps(result)
             return result
 
@@ -349,7 +336,7 @@ def supervise(units: Sequence[WorkUnit], jobs: int, *, fast: bool = False,
         task_r, task_w = ctx.Pipe(duplex=False)
         result_r, result_w = ctx.Pipe(duplex=False)
         proc = ctx.Process(target=_worker_main,
-                           args=(wid, task_r, result_w, chaos, fast),
+                           args=(wid, task_r, result_w, chaos),
                            daemon=False, name=f"vsched-unit-{wid}")
         proc.start()
         # Close the child's ends in the parent so a dead child shows as
@@ -402,7 +389,7 @@ def supervise(units: Sequence[WorkUnit], jobs: int, *, fast: bool = False,
                     try:
                         w.task_w.send((idx, attempts_made[idx],
                                        unit_tag(unit), unit.func,
-                                       unit.config, unit.prefix))
+                                       unit.config))
                     except (BrokenPipeError, OSError):
                         # Worker died between is_alive() and send(); the
                         # liveness sweep below reclaims the unit.

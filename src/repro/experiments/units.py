@@ -28,7 +28,7 @@ re-invoke ``func(*config)`` in another process, so everything must pickle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 __all__ = ["WorkUnit", "TransientUnitError", "supports_units",
@@ -77,12 +77,10 @@ class WorkUnit:
     timeout_s: Optional[float] = None
     max_retries: Optional[int] = None
     retryable: bool = True
-    #: Shared scenario prefix (:class:`repro.experiments.snapstore.
-    #: PrefixSpec`).  When set, ``func`` is called as ``func(roots,
-    #: *config)`` on a fork of the prefix's frozen world (or on a cold
-    #: rebuild when snapshots are disabled), and the prefix joins the
-    #: cache key — the unit result depends on the prefix's identity.
-    prefix: Optional[object] = None
+
+    #: Not a field: always None.  ``perfbench/run.py`` is its only reader
+    #: (it passes ``unit.prefix`` to ``snapstore.execute_unit``).
+    prefix = None
 
 
 def check_config_is_data(unit: WorkUnit) -> None:
@@ -104,8 +102,6 @@ def check_config_is_data(unit: WorkUnit) -> None:
             f"of type {type(v).__name__} is not plain data; its repr would "
             f"poison the cache key")
     walk(unit.config)
-    if unit.prefix is not None:
-        walk(unit.prefix.config)
 
 
 def supports_units(mod, exp_id: str) -> bool:
@@ -125,14 +121,10 @@ def get_assemble(mod, exp_id: str) -> Optional[Callable]:
         getattr(mod, "assemble", None)
 
 
-def execute_serial(units: Sequence[WorkUnit], fast: bool = False) -> List:
+def execute_serial(units: Sequence[WorkUnit]) -> List:
     """Run units in order, in-process, returning one result per unit.
 
-    This is what the thin ``run(fast=)`` wrappers call.  Each unit runs
-    through :func:`repro.experiments.snapstore.execute_unit`, so units
-    carrying a prefix fork this process's snapshot store; ``fast`` feeds
-    the prefix store key, and experiments that declare prefixes pass
-    their mode through.
+    This is what the thin ``run(fast=)`` wrappers call: each unit is
+    exactly ``func(*config)``, as in a campaign worker.
     """
-    from repro.experiments.snapstore import execute_unit
-    return [execute_unit(u.func, u.config, u.prefix, fast) for u in units]
+    return [u.func(*u.config) for u in units]

@@ -77,19 +77,6 @@ def elision_default() -> bool:
     return os.environ.get("VSCHED_REPRO_TICKLESS", "1") != "0"
 
 
-def snapshot_default() -> bool:
-    """Process-wide default for warm-start snapshot forking (on by default).
-
-    ``VSCHED_REPRO_SNAPSHOT=0`` disables the prefix snapshot store
-    (:mod:`repro.experiments.snapstore`): prefix/diverge scenarios then
-    rebuild their warm-up from scratch through the *same* code path, which
-    is what the A/B harness (``tools/abdiff.py``) flips to assert that
-    forked and cold runs produce byte-identical tables.  Read lazily at
-    each decision site so tests can toggle it in-process.
-    """
-    return os.environ.get("VSCHED_REPRO_SNAPSHOT", "1") != "0"
-
-
 class Event:
     """A cancellable scheduled callback.
 

@@ -1,16 +1,13 @@
-"""Ablation benches: what each vSched technique contributes.
+"""Ablations: what each vSched technique contributes.
 
 Beyond the paper's own figures, these ablations isolate the design choices
 DESIGN.md calls out: each scenario is chosen so exactly one technique
-matters, and the bench asserts that removing it forfeits the win.
+matters, and the test asserts that removing it forfeits the win.
 """
-
-import pytest
 
 from repro.cluster import (
     attach_scheduler,
     build_plain_vm,
-    build_rcvm,
     make_context,
     run_to_completion,
 )
@@ -77,42 +74,24 @@ def _stacked_elapsed(overrides):
     return wl.elapsed_ns()
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablate_ivh(benchmark):
-    def run():
-        full = _harvest_elapsed({})
-        no_ivh = _harvest_elapsed({"enable_ivh": False})
-        return full, no_ivh
-
-    full, no_ivh = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(f"\nharvesting scenario: vSched {full / 1e6:.0f} ms, "
-          f"without ivh {no_ivh / 1e6:.0f} ms")
-    assert full < no_ivh * 0.75  # ivh carries the harvesting win
+def test_ablate_ivh():
+    full = _harvest_elapsed({})
+    no_ivh = _harvest_elapsed({"enable_ivh": False})
+    # ivh carries the harvesting win.
+    assert full < no_ivh * 0.75, (full, no_ivh)
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablate_bvs(benchmark):
-    def run():
-        full = _latency_p95({"enable_ivh": False, "enable_rwc": False})
-        no_bvs = _latency_p95({"enable_ivh": False, "enable_rwc": False,
-                               "enable_bvs": False})
-        return full, no_bvs
-
-    full, no_bvs = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(f"\nasymmetric-latency scenario: p95 with bvs {full / 1e6:.2f} ms, "
-          f"without {no_bvs / 1e6:.2f} ms")
-    assert full < no_bvs * 0.92  # bvs carries the tail-latency win
+def test_ablate_bvs():
+    full = _latency_p95({"enable_ivh": False, "enable_rwc": False})
+    no_bvs = _latency_p95({"enable_ivh": False, "enable_rwc": False,
+                           "enable_bvs": False})
+    # bvs carries the tail-latency win.
+    assert full < no_bvs * 0.92, (full, no_bvs)
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablate_rwc(benchmark):
-    def run():
-        full = _stacked_elapsed({"enable_ivh": False, "enable_bvs": False})
-        no_rwc = _stacked_elapsed({"enable_ivh": False, "enable_bvs": False,
-                                   "enable_rwc": False})
-        return full, no_rwc
-
-    full, no_rwc = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(f"\nstacked-VM scenario: with rwc {full / 1e6:.0f} ms, "
-          f"without {no_rwc / 1e6:.0f} ms")
-    assert full < no_rwc * 0.92  # hiding one vCPU per stack carries the win
+def test_ablate_rwc():
+    full = _stacked_elapsed({"enable_ivh": False, "enable_bvs": False})
+    no_rwc = _stacked_elapsed({"enable_ivh": False, "enable_bvs": False,
+                               "enable_rwc": False})
+    # Hiding one vCPU per stack carries the win.
+    assert full < no_rwc * 0.92, (full, no_rwc)

@@ -146,9 +146,8 @@ def _load_tool(name):
 
 def test_abdiff_counts_events_under_jobs_env(monkeypatch):
     monkeypatch.setenv(parallel.JOBS_ENV_VAR, "2")
-    # run_once sets both knobs; monkeypatch restores them afterwards.
+    # run_once sets the tickless knob; monkeypatch restores it afterwards.
     monkeypatch.setenv("VSCHED_REPRO_TICKLESS", "1")
-    monkeypatch.setenv("VSCHED_REPRO_SNAPSHOT", "1")
     _blob, fired, _elided = _load_tool("abdiff").run_once("fig2", True, True)
     assert fired > 0
 

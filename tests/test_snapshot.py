@@ -11,10 +11,9 @@ tested here against its cold-path twin:
 * world layer — :class:`WorldSnapshot` freezes engine + roots in one
   deep copy, the guard rejects copy-unsafe callbacks loudly, and every
   fork is independent of its siblings and of the frozen image;
-* store layer — :class:`SnapshotStore` keys on (code fingerprint,
-  prefix, fast, tickless), hits after one miss, and
-  ``execute_unit`` produces identical results with snapshotting on and
-  off.
+* experiment layer — fig14, the one experiment that forks, measures each
+  config on a fork of its side's warm world and must get exactly the p95
+  of the cold one-shot ``run_one``.
 """
 
 from __future__ import annotations
@@ -24,21 +23,13 @@ import copy
 import pytest
 
 from repro.cluster import attach_scheduler, build_plain_vm, make_context
-from repro.experiments.snapstore import (
-    PrefixSpec,
-    SnapshotStore,
-    execute_unit,
-    prefix_store_key,
-    process_store,
-    reset_process_store,
-)
+from repro.experiments import fig14_bvs
+from repro.experiments.snapstore import execute_unit
 from repro.guest.task import Task
 from repro.sim.engine import MSEC, SEC, Engine
 from repro.sim.rng import make_rng, rng_signature
 from repro.sim.snapshot import SnapshotError, WorldSnapshot, guard_world
 from repro.workloads import SysbenchCpu
-
-FP = "f" * 64  # stand-in code fingerprint (key tests only)
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +207,7 @@ class TestRngFork:
 
 
 # ----------------------------------------------------------------------
-# Store keying and accounting, on a synthetic (cheap) prefix.
+# Sibling forks of a cheap synthetic world.
 # ----------------------------------------------------------------------
 class _Ticker:
     """Periodic bound-method event source — deep-copy safe by design."""
@@ -232,55 +223,13 @@ class _Ticker:
         self.engine.call_in(self.period, self._tick)
 
 
-def _ticker_prefix(period: int):
-    eng = Engine()
-    ticker = _Ticker(eng, period)
-    eng.run_until(10 * period)
-    return {"engine": eng, "ticker": ticker}
-
-
-def _ticker_unit(roots, horizon: int):
-    roots["engine"].run_until(horizon)
-    return (roots["engine"].now, roots["ticker"].count)
-
-
-_SPEC = PrefixSpec(key="ticker", func=_ticker_prefix, config=(100,),
-                   seed="t-100")
-
-
-class TestStoreKey:
-    def test_chain_fast_and_fingerprint_isolate(self):
-        base = prefix_store_key(_SPEC, True, FP)
-        assert prefix_store_key(_SPEC, True, FP) == base
-        assert prefix_store_key(_SPEC, False, FP) != base
-        assert prefix_store_key(_SPEC, True, "a" * 64) != base
-        other = PrefixSpec(key="ticker", func=_ticker_prefix, config=(200,),
-                           seed="t-100")
-        assert prefix_store_key(other, True, FP) != base
-
-    def test_engine_mode_knobs_isolate(self, monkeypatch):
-        # A frozen world bakes the elision mode in at construction; an
-        # in-process env toggle must miss, not fork a world built under
-        # the other mode.
-        monkeypatch.delenv("VSCHED_REPRO_TICKLESS", raising=False)
-        base = prefix_store_key(_SPEC, True, FP)
-        monkeypatch.setenv("VSCHED_REPRO_TICKLESS", "0")
-        assert prefix_store_key(_SPEC, True, FP) != base
-
-
-class TestSnapshotStore:
-    def test_miss_then_hit_accounting(self):
-        store = SnapshotStore()
-        store.fork(_SPEC, True, FP)
-        store.fork(_SPEC, True, FP)
-        assert (store.misses, store.hits, store.forks) == (1, 1, 2)
-        assert store.build_seconds > 0
-        assert store.saved_seconds > 0
-
+class TestForkIndependence:
     def test_forks_are_independent(self):
-        store = SnapshotStore()
-        a = store.fork(_SPEC, True, FP)
-        b = store.fork(_SPEC, True, FP)
+        eng = Engine()
+        ticker = _Ticker(eng, 100)
+        eng.run_until(1_000)
+        snap = WorldSnapshot(eng, {"engine": eng, "ticker": ticker})
+        a, b = snap.fork()[1], snap.fork()[1]
         a["engine"].run_until(20_000)
         assert b["ticker"].count == 10  # sibling unmoved by a's divergence
         b["engine"].run_until(20_000)
@@ -288,29 +237,21 @@ class TestSnapshotStore:
 
 
 class TestExecuteUnit:
-    @pytest.fixture(autouse=True)
-    def fresh_store(self):
-        reset_process_store()
-        yield
-        reset_process_store()
-
     def test_prefixless_unit_is_plain_call(self):
         assert execute_unit(int, ("7",), None, True) == 7
 
-    def test_on_and_off_paths_agree(self, monkeypatch):
-        monkeypatch.setenv("VSCHED_REPRO_SNAPSHOT", "1")
-        forked = [execute_unit(_ticker_unit, (h,), _SPEC, True)
-                  for h in (2_000, 3_000)]
-        on_store = process_store()
-        assert (on_store.hits, on_store.misses) == (1, 1)
-        assert on_store.cold_builds == 0
 
-        reset_process_store()
-        monkeypatch.setenv("VSCHED_REPRO_SNAPSHOT", "0")
-        cold = [execute_unit(_ticker_unit, (h,), _SPEC, True)
-                for h in (2_000, 3_000)]
-        off_store = process_store()
-        assert off_store.cold_builds == 2
-        assert (off_store.hits, off_store.misses, off_store.forks) == \
-            (0, 0, 0)
-        assert forked == cold == [(2_000, 20), (3_000, 30)]
+# ----------------------------------------------------------------------
+# fig14's unit body against its cold reference, on the cheapest benchmark.
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("tickless", ["1", "0"])
+class TestFig14Fork:
+    def test_side_unit_matches_cold_run_one(self, tickless, monkeypatch):
+        monkeypatch.setenv("VSCHED_REPRO_TICKLESS", tickless)
+        bench, n_requests = "silo", 60
+        for bvs in (False, True):
+            forked = fig14_bvs._side_p95s(bvs, (bench,), n_requests)
+            cold = [fig14_bvs.run_one(bench, bvs, best_effort,
+                                      n_requests).p95_ns()
+                    for best_effort in (False, True)]
+            assert forked == cold, (bvs, forked, cold)

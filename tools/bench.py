@@ -9,11 +9,6 @@ shows where the seconds go inside the heavy experiments; with ``--cache``
 the report also counts unit cache hits/misses (a warm rerun of an
 unchanged tree is all hits).
 
-Each row (and the report header) also carries a ``snapshot`` block — the
-warm-start store's hit/miss/fork/cold-build counts and the prefix seconds
-saved by forking frozen worlds instead of replaying warm-ups
-(``docs/INTERNALS.md`` §15).
-
 ``--jobs N`` runs the units over N supervised workers (the default, one
 job, runs them in-process).  Scenario rows carry their retry
 ``attempts``, and the report's ``supervisor`` block records
@@ -53,21 +48,11 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.cli import ALL_ORDER
 from repro.experiments.common import run_experiment
 from repro.experiments.supervisor import SupervisorStats
-from repro.sim.engine import Engine, snapshot_default
+from repro.sim.engine import Engine
 
 #: Counter keys copied into per-scenario/per-experiment "engine" dicts
 #: (fired/elided are already first-class report fields).
 _COUNTER_KEYS = ("pushes", "cancels", "dead_drops")
-
-
-def _snap_block(source: dict) -> dict:
-    """Normalize snapshot counters for a report row (strip the prefix)."""
-    return {"hits": int(source.get("snap_hits", 0)),
-            "misses": int(source.get("snap_misses", 0)),
-            "forks": int(source.get("snap_forks", 0)),
-            "cold_builds": int(source.get("snap_cold_builds", 0)),
-            "prefix_saved_s": round(float(source.get("snap_saved_s", 0.0)),
-                                    3)}
 
 
 def bench_campaign(ids, fast: bool, check: bool, jobs: int,
@@ -94,7 +79,6 @@ def bench_campaign(ids, fast: bool, check: bool, jobs: int,
             "events_per_sec": round(res.events_fired / res.wall_s)
             if res.wall_s > 0 else 0,
             "engine": {k: res.counters.get(k, 0) for k in _COUNTER_KEYS},
-            "snapshot": _snap_block(res.counters),
             "scenarios": res.unit_stats,
             "error": error,
         }
@@ -184,16 +168,6 @@ def main(argv=None) -> int:
         "total_events_elided": sum(r.get("events_elided", 0)
                                    for r in primary),
         "tickless": os.environ.get("VSCHED_REPRO_TICKLESS", "1") != "0",
-        "snapshot_forking": snapshot_default(),
-        "snapshot": {
-            "hits": sum(r["snapshot"]["hits"] for r in primary),
-            "misses": sum(r["snapshot"]["misses"] for r in primary),
-            "forks": sum(r["snapshot"]["forks"] for r in primary),
-            "cold_builds": sum(r["snapshot"]["cold_builds"]
-                               for r in primary),
-            "prefix_saved_s": round(sum(r["snapshot"]["prefix_saved_s"]
-                                        for r in primary), 3),
-        },
         "supervisor": (sup_stats.as_dict() if sup_stats is not None
                        else SupervisorStats().as_dict()),
         "experiments": primary,
@@ -208,15 +182,9 @@ def main(argv=None) -> int:
     with open(out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    snap = report["snapshot"]
-    snap_note = (f", snapshots {snap['hits']}h/{snap['misses']}m "
-                 f"({snap['prefix_saved_s']:.1f}s prefix time saved)"
-                 if snap["hits"] or snap["misses"] or snap["cold_builds"]
-                 else "")
     print(f"wrote {out}: {report['total_wall_s']:.1f}s total, "
           f"{report['total_events_fired']:,d} events fired, "
           f"{report['total_events_elided']:,d} elided"
-          + snap_note
           + (f", cache {cache.hits}h/{cache.misses}m" if cache else ""))
 
     failures = [r["exp_id"] for r in primary if r["error"]]

@@ -5,7 +5,7 @@ Runs every experiment (fast mode by default; --full for the paper-scale
 campaign), records the rendered tables and whether the qualitative shape
 assertions held, and writes the comparison document.
 
-Usage:  python tools/make_experiments_md.py [--full] [--only fig2,fig3]
+Usage:  PYTHONPATH=src python tools/make_experiments_md.py [--full] [--only fig2,fig3]
 """
 
 from __future__ import annotations
@@ -60,6 +60,10 @@ PAPER_CLAIMS = {
              "CPS baseline",
     "fig21": "0.7% average degradation on a dedicated VM; latency "
              "workloads can even improve (probing keeps cores warm)",
+    "figA1": "not in the paper (robustness extension): under every "
+             "antagonist class, hardened probers have strictly lower "
+             "combined capacity+activity estimate error than naive ones, "
+             "at no accuracy cost without an antagonist",
 }
 
 HEADER = """# EXPERIMENTS — paper vs. measured
@@ -70,13 +74,13 @@ expected to match the paper (its testbed is an HPE DL580 running patched
 Linux; ours is a discrete-event simulator) — the comparison below is about
 *shape*: who wins, by roughly what factor, and where the crossovers are.
 Each experiment carries programmatic shape assertions (`check_*` in
-`src/repro/experiments/`), run automatically by `pytest benchmarks/`.
+`src/repro/experiments/`), run by every `vsched-repro run`.
 
 Regenerate this file:
 
 ```bash
-python tools/make_experiments_md.py          # fast mode
-python tools/make_experiments_md.py --full   # paper-scale campaign
+PYTHONPATH=src python tools/make_experiments_md.py          # fast mode
+PYTHONPATH=src python tools/make_experiments_md.py --full   # paper-scale campaign
 ```
 
 Known, deliberate deviations of this substrate (details in DESIGN.md):

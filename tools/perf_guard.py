@@ -9,12 +9,9 @@ means a real regression in the engine or in timer elision, not noise.
 The tolerance absorbs small intentional drifts; bigger deliberate changes
 should refresh the baseline with ``--write`` in the same commit.
 
-One prefix-migrated experiment (``SNAP_PINNED``) is additionally
-measured with warm-start forking on *and* off (INTERNALS §15).  Both
-modes carry their own fired budget — the fork budget guards the prefix
-sharing itself (a regression here means units stopped forking and went
-back to rebuilding), and ``fork < cold`` is asserted outright since the
-whole point of forking is to not re-fire shared-prefix events.
+fig14's budget also guards its warm-world fork (INTERNALS §15): if its
+units stopped forking and rebuilt the 6 s warm-up per config, it would
+fire about 3x its budget (1.69M events against 555k).
 
 Usage::
 
@@ -43,29 +40,17 @@ BASELINE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              "perf_baseline.json")
 #: Allowed events_fired growth over baseline before the guard fails.
 TOLERANCE_PCT = 10.0
-#: Pinned fast experiments: one host-churn-bound, one spin-bound.
-PINNED = ("fig2", "fig4")
-#: Prefix-migrated experiment measured under snapshot fork AND cold mode.
-#: fig14 shares 2 warm-up prefixes across 20 units, so cold mode re-fires
-#: each prefix 10x and the fork budget sits well below the cold one.
-SNAP_PINNED = ("fig14",)
-SNAP_MODES = ("fork", "cold")
+#: Pinned fast experiments: one host-churn-bound, one spin-bound, and the
+#: one that forks a warm world.
+PINNED = ("fig2", "fig4", "fig14")
 
 
-def measure(exp_id: str, snapshot: bool = True) -> dict:
-    saved_snap = os.environ.get("VSCHED_REPRO_SNAPSHOT")
-    os.environ["VSCHED_REPRO_SNAPSHOT"] = "1" if snapshot else "0"
-    try:
-        fired0 = Engine.total_events_fired
-        elided0 = Engine.total_events_elided
-        run_experiment(exp_id, fast=True)
-        return {"events_fired": Engine.total_events_fired - fired0,
-                "events_elided": Engine.total_events_elided - elided0}
-    finally:
-        if saved_snap is None:
-            os.environ.pop("VSCHED_REPRO_SNAPSHOT", None)
-        else:
-            os.environ["VSCHED_REPRO_SNAPSHOT"] = saved_snap
+def measure(exp_id: str) -> dict:
+    fired0 = Engine.total_events_fired
+    elided0 = Engine.total_events_elided
+    run_experiment(exp_id, fast=True)
+    return {"events_fired": Engine.total_events_fired - fired0,
+            "events_elided": Engine.total_events_elided - elided0}
 
 
 def main(argv=None) -> int:
@@ -77,30 +62,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     measured = {exp_id: measure(exp_id) for exp_id in PINNED}
-    snap_measured = {exp_id: {mode: measure(exp_id,
-                                            snapshot=(mode == "fork"))
-                              for mode in SNAP_MODES}
-                     for exp_id in SNAP_PINNED}
-
-    failures = []
-    # Structural snapshot invariant, independent of any baseline: forking
-    # must fire strictly fewer events than cold prefix rebuilds, or the
-    # units silently stopped sharing their warm-up.
-    for exp_id, per_mode in snap_measured.items():
-        fork = per_mode["fork"]["events_fired"]
-        cold = per_mode["cold"]["events_fired"]
-        if fork >= cold:
-            print(f"{exp_id:8s} fork fired={fork:,d} >= cold "
-                  f"fired={cold:,d} (prefix sharing is not engaging)")
-            failures.append(f"{exp_id}:fork>=cold")
-    if failures:
-        print(f"budget invariants violated: {failures}")
-        return 1
 
     if args.write:
         payload = {"tolerance_pct": TOLERANCE_PCT, "fast": True,
-                   "experiments": measured,
-                   "snapshot_experiments": snap_measured}
+                   "experiments": measured}
         with open(BASELINE_PATH, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
@@ -111,29 +76,20 @@ def main(argv=None) -> int:
         baseline = json.load(fh)
     tolerance = baseline.get("tolerance_pct", TOLERANCE_PCT)
 
-    def judge(exp_id: str, label: str, fired: int, base: int,
-              elided: int) -> None:
+    failures = []
+    for exp_id, row in measured.items():
+        fired = row["events_fired"]
+        base = baseline["experiments"][exp_id]["events_fired"]
         delta = 100.0 * (fired - base) / base
         verdict = "ok"
         if delta > tolerance:
             verdict = f"REGRESSED (> +{tolerance:.0f}%)"
-            failures.append(f"{exp_id}:{label}" if label else exp_id)
+            failures.append(exp_id)
         elif delta < -tolerance:
             verdict = "improved (consider --write)"
-        print(f"{exp_id:8s} {label:5s} fired={fired:>12,d} "
-              f"baseline={base:>12,d} {delta:+6.2f}%  "
-              f"elided={elided:>11,d} [{verdict}]")
-
-    for exp_id, row in measured.items():
-        base = baseline["experiments"][exp_id]["events_fired"]
-        judge(exp_id, "", row["events_fired"], base, row["events_elided"])
-    for exp_id, per_mode in snap_measured.items():
-        for mode in SNAP_MODES:
-            row = per_mode[mode]
-            base = baseline["snapshot_experiments"][exp_id][mode][
-                "events_fired"]
-            judge(exp_id, mode, row["events_fired"], base,
-                  row["events_elided"])
+        print(f"{exp_id:8s} fired={fired:>12,d} baseline={base:>12,d} "
+              f"{delta:+6.2f}%  elided={row['events_elided']:>11,d} "
+              f"[{verdict}]")
     if failures:
         print(f"event budget regressed: {failures}")
         return 1

@@ -1,8 +1,8 @@
 """Cache-key soundness (VSL5xx): every result input must be in the key.
 
-The content-addressed result cache (INTERNALS §9) and the snapshot store
-(§15) key on ``SHA-256(code fingerprint | exp_id | config | seed | fast
-[| prefix])``.  That key is sound only while two facts hold:
+The content-addressed result cache (INTERNALS §9) keys on
+``SHA-256(code fingerprint | exp_id | label | config | seed | fast)``.
+That key is sound only while two facts hold:
 
 * **the fingerprint covers all the code that can run** — the fingerprint
   hashes every ``*.py`` under the installed ``repro`` package, so any
@@ -17,10 +17,10 @@ Scope: hidden-input rules fire everywhere in ``src/repro`` *except* the
 experiments layer's orchestration (CLI flags, supervisor deadlines, job
 counts — host-side concerns that never touch a result value).  Inside the
 experiments layer they fire exactly for functions reachable from a
-work-unit body or prefix builder on the conservative call graph: that is
-the code a warm pooled worker runs per unit.  Intentional reads carry a
-reasoned blessing in ``config.HIDDEN_INPUT_BLESSED`` (the engine's three
-mode knobs, whose cross-setting byte-identity is CI-enforced, and the
+work-unit body on the conservative call graph: that is the code a warm
+pooled worker runs per unit.  Intentional reads carry a reasoned blessing
+in ``config.HIDDEN_INPUT_BLESSED`` (the engine's tickless knob, whose
+cross-setting byte-identity is CI-enforced, the job-count knob, and the
 cache's own fingerprint/entry machinery).
 """
 

@@ -86,7 +86,7 @@ class CallGraph:
 
 
 def unit_root_nodes(index: ProjectIndex) -> List[str]:
-    """Call-graph nodes of every callable handed to WorkUnit/PrefixSpec.
+    """Call-graph nodes of every callable handed to WorkUnit.
 
     These are the functions a warm pooled worker executes per unit — the
     code whose hidden inputs must be part of the unit's cache key, and

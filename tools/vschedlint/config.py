@@ -236,8 +236,8 @@ EXCLUDED_DIR_COMPONENTS = frozenset({"__pycache__", "fixtures"})
 # ---------------------------------------------------------------------------
 #: Method names whose call registers a callable into the simulated world,
 #: mapped to the positional index of the callable argument.  Everything
-#: scheduled through these can sit in a pending event when a scenario
-#: prefix freezes (INTERNALS §15), so it must survive ``copy.deepcopy``.
+#: scheduled through these can sit in a pending event when a warm world
+#: freezes (INTERNALS §15), so it must survive ``copy.deepcopy``.
 REGISTRATION_CALLS = {
     "call_at": 1,        # Engine.call_at(time, callback, *args)
     "call_in": 1,        # Engine.call_in(delay, callback, *args)
@@ -248,12 +248,11 @@ REGISTRATION_CALLS = {
 #: ``<attr>.append(cb)`` is a registration site too.
 LISTENER_ATTRS = frozenset({"activity_listeners"})
 
-#: Constructors whose ``func`` argument names a work-unit body or prefix
-#: builder, mapped to its positional index.  These are the reachability
-#: roots: the code a warm pooled worker runs per unit.
+#: Constructors whose ``func`` argument names a work-unit body, mapped to
+#: its positional index.  These are the reachability roots: the code a
+#: warm pooled worker runs per unit.
 UNIT_ROOT_CTORS = {
     "WorkUnit": 2,    # positional (exp_id, label, func, ...)
-    "PrefixSpec": 1,  # positional (key, func, ...)
 }
 
 #: Builtin-container method names: ``x.append`` passed as a callback is
@@ -288,15 +287,11 @@ FINGERPRINTED_THIRD_PARTY = frozenset({"numpy", "np"})
 #: different results*.
 HIDDEN_INPUT_BLESSED = {
     "repro.sim.engine": {
-        # The two process-mode knobs.  They change how results are
-        # *computed*, never what they are: the A/B identity CI jobs prove
-        # byte-identical tables across tickless x snapshot, and the
-        # snapshot store folds elision into its prefix keys anyway
-        # (prefix_store_key).
+        # The process-mode knob.  It changes how results are *computed*,
+        # never what they are: the A/B identity CI job proves
+        # byte-identical tables with tickless on and off.
         "elision_default": "mode knob; byte-identity across settings is "
-                           "CI-enforced and snapstore keys fold it in",
-        "snapshot_default": "mode knob; fork-vs-cold byte-identity is "
-                            "CI-enforced (abdiff --snapshot-modes)",
+                           "CI-enforced (abdiff)",
     },
     "repro.experiments.cache": {
         # The fingerprint is the cache key's code input itself; reading
@@ -325,12 +320,6 @@ HIDDEN_INPUT_BLESSED = {
 #: simulation time.  Every entry must say why persistence across units in
 #: a warm pooled worker cannot change any unit's *result*.
 PROCESS_STATE_BLESSED = {
-    "repro.experiments.snapstore": {
-        "_process_store": "the intentional per-process snapshot store; "
-                          "entries are content-addressed by code "
-                          "fingerprint + prefix + mode, and abdiff "
-                          "--snapshot-modes proves fork==cold",
-    },
     "repro.experiments.cache": {
         "_fingerprint_memo": "memo of a pure function of the source tree; "
                              "the tree cannot change mid-run",

@@ -139,7 +139,7 @@ class FileRecord:
     # {"kind", "func", "line", "col", "callback": summary,
     #  "args": [summaries]}
     root_sites: List[dict] = field(default_factory=list)
-    # WorkUnit/PrefixSpec construction: {"kind", "func_summary", "line"}
+    # WorkUnit construction: {"kind", "func_summary", "line"}
     spans: List[List[Any]] = field(default_factory=list)
     # [start, end, def_line, qual] — for suppression def-line scoping
     suppressions: Dict[str, dict] = field(default_factory=dict)
@@ -450,7 +450,7 @@ class _Extractor(ast.NodeVisitor):
                 "args": [self._summarize(a)
                          for a in node.args[reg_idx + 1:]]})
 
-        # WorkUnit / PrefixSpec roots (for reachability)
+        # WorkUnit roots (for reachability)
         ctor = fn.id if isinstance(fn, ast.Name) else (
             fn.attr if isinstance(fn, ast.Attribute) else None)
         if ctor in config.UNIT_ROOT_CTORS:

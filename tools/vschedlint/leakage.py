@@ -15,8 +15,8 @@ divergence surfaces (if ever) as an unexplainable A/B or cache mismatch.
   process-wide, so this is module state wearing a class name.
 
 Intentional process-level stores carry reasoned blessings in
-``config.PROCESS_STATE_BLESSED`` — the snapshot store and fingerprint
-memo (content-addressed: a stale entry cannot alias a different input),
+``config.PROCESS_STATE_BLESSED`` — the fingerprint memo
+(content-addressed: a stale entry cannot alias a different input),
 the PELT decay memo (a pure function of its key), and the engine's
 telemetry counters (units report deltas; results never read them).  The registry is the paper trail: every entry
 says why persistence cannot change a unit's result.

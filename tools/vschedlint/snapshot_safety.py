@@ -14,8 +14,8 @@ classes ``repro.sim.snapshot.guard_world`` rejects at runtime:
 * live generators in event arguments: not deep-copyable at all —
   **VSL404**.
 
-The runtime guard only fires when a world is actually frozen, i.e. after
-a scenario has been migrated to a snapshot prefix; these rules fire at
+The runtime guard only fires when a world is actually frozen, i.e. when
+a scenario forks a warm world (fig14 today); these rules fire at
 *every* registration site in ``src/repro`` (``Engine.call_at/call_in``,
 ``add_sync_hook``, ``activity_listeners.append``), because any scenario
 is a candidate for migration and a violation discovered then is a
@@ -37,16 +37,16 @@ from vschedlint.index import FileRecord, FunctionInfo, ProjectIndex
 
 def check_snapshot_safety(index: ProjectIndex, graph: CallGraph,
                           findings: List[Finding]) -> None:
-    prefix_reach = _prefix_reachable(index, graph)
+    unit_reach = _unit_reachable(index, graph)
     for rec in index.repro_records():
         for site in rec.reg_sites:
-            _check_site(index, rec, site, prefix_reach, findings)
+            _check_site(index, rec, site, unit_reach, findings)
 
 
-def _prefix_reachable(index: ProjectIndex, graph: CallGraph) -> Set[str]:
-    """Nodes reachable from PrefixSpec builders and work-unit bodies —
-    code that demonstrably runs inside (or builds) snapshot-covered
-    worlds today.  Used to sharpen messages, never to skip a site."""
+def _unit_reachable(index: ProjectIndex, graph: CallGraph) -> Set[str]:
+    """Nodes reachable from work-unit bodies — code that demonstrably
+    runs inside (or builds) the worlds units simulate, fig14's frozen ones
+    among them.  Used to sharpen messages, never to skip a site."""
     return graph.reachable_from(unit_root_nodes(index))
 
 
@@ -74,8 +74,8 @@ def _resolve_callable(index: ProjectIndex, rec: FileRecord, summary: dict,
 
 
 def _check_site(index: ProjectIndex, rec: FileRecord, site: dict,
-                prefix_reach: Set[str], findings: List[Finding]) -> None:
-    reachable = _site_reachable(rec, site, prefix_reach)
+                unit_reach: Set[str], findings: List[Finding]) -> None:
+    reachable = _site_reachable(rec, site, unit_reach)
     _check_callback(index, rec, site, site.get("callback") or {},
                     reachable, findings, depth=0)
     for arg in site.get("args", ()):
@@ -83,8 +83,8 @@ def _check_site(index: ProjectIndex, rec: FileRecord, site: dict,
 
 
 def _site_reachable(rec: FileRecord, site: dict,
-                    prefix_reach: Set[str]) -> bool:
-    return node_id(rec, site["func"]) in prefix_reach if site["func"] \
+                    unit_reach: Set[str]) -> bool:
+    return node_id(rec, site["func"]) in unit_reach if site["func"] \
         else False
 
 
